@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race fuzz sim bench smoke attrib warmsweep shardreplay loadbench
+.PHONY: build test check vet race fuzz sim bench smoke attrib warmsweep shardreplay loadbench perf
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,7 @@ fuzz:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzParseArrivalTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/costmgr -run '^$$' -fuzz FuzzLoadProfiles -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cliutil -run '^$$' -fuzz FuzzValidateReport -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzReadJSONL -fuzztime $(FUZZTIME)
 
 # check is the full pre-commit gate: static analysis, the whole test suite
 # under the race detector (twice, to shake out ordering dependence), a
@@ -133,3 +134,17 @@ LOADBENCH_JOBS ?= 100,1000,10000
 LOADBENCH_LABEL ?= dev
 loadbench:
 	$(GO) run ./cmd/splitserve-loadbench -jobs $(LOADBENCH_JOBS) -label $(LOADBENCH_LABEL)
+
+# perf runs the simulator-cost benchmark (perfbench/README.md) once per
+# workload BENCHMARK.json declares (read with jq), untraced (--trace 0,
+# end-to-end metrics) and traced (--trace 1, adding the per-layer
+# breakdown), with a 3 s budget: a check that every workload still builds, runs and passes
+# its own checks, not a measurement. Measure with --seconds 36 and
+# repeated seeds, as perfbench/README.md describes.
+perf:
+	@ws=$$(jq -r '.workloads[].name' BENCHMARK.json) && for w in $$ws; do \
+		for tr in 0 1; do \
+			echo "perf: $$w --trace $$tr"; \
+			bash perfbench/run.sh --workload $$w --seed 1 --seconds 3 --trace $$tr || exit 1; \
+		done; \
+	done

@@ -123,20 +123,43 @@ type Item struct {
 type Meter struct {
 	items []Item
 	hub   *telemetry.Hub
+	// kinds holds each billed kind's counter handles, resolved from the
+	// registry on the kind's first item.
+	kinds map[string]kindCounters
+}
+
+// kindCounters are one item kind's billing counters.
+type kindCounters struct {
+	usd, items *telemetry.Counter
 }
 
 // SetTelemetry makes the meter mirror cost accrual into per-kind
 // billing_cost_usd_total and billing_items_total counters on hub.
-func (m *Meter) SetTelemetry(h *telemetry.Hub) { m.hub = h }
+func (m *Meter) SetTelemetry(h *telemetry.Hub) {
+	m.hub = h
+	m.kinds = nil
+}
 
 // Add records a billed line.
 func (m *Meter) Add(item Item) {
 	m.items = append(m.items, item)
-	if m.hub != nil {
-		kl := telemetry.L("kind", item.Kind)
-		m.hub.Counter("billing_cost_usd_total", kl).Add(item.USD)
-		m.hub.Counter("billing_items_total", kl).Inc()
+	if m.hub == nil {
+		return
 	}
+	c, ok := m.kinds[item.Kind]
+	if !ok {
+		kl := telemetry.L("kind", item.Kind)
+		c = kindCounters{
+			usd:   m.hub.Counter("billing_cost_usd_total", kl),
+			items: m.hub.Counter("billing_items_total", kl),
+		}
+		if m.kinds == nil {
+			m.kinds = make(map[string]kindCounters)
+		}
+		m.kinds[item.Kind] = c
+	}
+	c.usd.Add(item.USD)
+	c.items.Inc()
 }
 
 // AddVM bills an instance (or a share of one) for an interval.

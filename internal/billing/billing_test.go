@@ -1,10 +1,14 @@
 package billing
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"splitserve/internal/telemetry"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -196,5 +200,36 @@ func TestVMSavings(t *testing.T) {
 	// Actual beyond the counterfactual clamps at zero, never negative.
 	if got := VMSavings(3.6, 2*time.Hour, time.Hour); got != 0 {
 		t.Fatalf("VMSavings(actual > counterfactual) = %v, want 0", got)
+	}
+}
+
+// TestMeterTelemetry: each billed kind's counters carry its summed cost
+// and item count, and a kind never billed exports no series.
+func TestMeterTelemetry(t *testing.T) {
+	hub := telemetry.New(nil)
+	var m Meter
+	m.SetTelemetry(hub)
+	m.Add(Item{Kind: "vm", USD: 1.5})
+	m.Add(Item{Kind: "lambda", USD: 0.25})
+	m.Add(Item{Kind: "vm", USD: 2})
+	var prom bytes.Buffer
+	if err := hub.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`billing_cost_usd_total{kind="vm"} 3.5`,
+		`billing_items_total{kind="vm"} 2`,
+		`billing_cost_usd_total{kind="lambda"} 0.25`,
+		`billing_items_total{kind="lambda"} 1`,
+	} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("prom output lacks %s:\n%s", want, prom.String())
+		}
+	}
+	if strings.Contains(prom.String(), `kind="s3"`) {
+		t.Errorf("unbilled kind exported:\n%s", prom.String())
+	}
+	if got := m.Total(); got != 3.75 {
+		t.Errorf("Total = %v, want 3.75", got)
 	}
 }

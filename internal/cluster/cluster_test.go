@@ -293,3 +293,39 @@ func TestParseArrivals(t *testing.T) {
 		t.Errorf("bursty = %v, %v", b, err)
 	}
 }
+
+// TestRunRecordsNoSpans: a cluster run's outputs are its report, its
+// event log and the hub's metrics. Nothing reads spans, so the hub records
+// none: not the scheduler's, not the engines', not the provider's Lambda
+// starts, even on a run that bridged with Lambdas.
+func TestRunRecordsNoSpans(t *testing.T) {
+	s, err := New(Config{
+		Jobs:      testJobs(t, []time.Duration{0, time.Second}, 4, 8, 2),
+		PoolCores: 4,
+		Strategy:  StrategyBridge,
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 2 {
+		t.Fatalf("completed %d, want 2", rep.Completed)
+	}
+	invoked := 0.0
+	for _, c := range s.Telemetry().Report().Counters {
+		if c.Name == "cloud_lambda_invocations_total" {
+			invoked += c.Value
+		}
+	}
+	if invoked == 0 {
+		t.Fatal("no Lambda invoked: the run does not exercise the bridge")
+	}
+	tr := s.Telemetry().Tracer()
+	if spans, marks := len(tr.Spans()), len(tr.Marks()); spans != 0 || marks != 0 {
+		t.Fatalf("hub tracer holds %d spans and %d marks, want 0 and 0", spans, marks)
+	}
+}

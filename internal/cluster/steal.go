@@ -65,10 +65,6 @@ func (s *Scheduler) Steal() (JobSpec, time.Time, bool) {
 	}
 	j.phase = jobMigrated
 	j.finishedAt = s.clock.Now()
-	j.queueSpan.End()
-	if j.jobSpan != nil {
-		j.jobSpan.End()
-	}
 	s.settled++
 	s.kick() // compact the active set and refresh gauges next pass
 	return j.spec, j.arrivalAt, true

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"splitserve/internal/cloud"
+	"splitserve/internal/eventlog"
 	"splitserve/internal/hdfs"
-	"splitserve/internal/metrics"
 	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
 	"splitserve/internal/simrand"
@@ -46,6 +46,7 @@ func newFixture(t *testing.T, cfg Config, execs int, slo time.Duration, store st
 		Provider: provider,
 		Store:    store,
 		Backend:  backend,
+		Events:   eventlog.NewBus(simclock.Epoch),
 		Alloc:    engine.DefaultAllocConfig(engine.AllocStatic, execs, execs),
 		SLO:      slo,
 	})
@@ -121,6 +122,17 @@ func TestHybridLaunchSplitsAcrossSubstrates(t *testing.T) {
 	}
 }
 
+// count returns how many events of type typ the cluster recorded.
+func count(c *engine.Cluster, typ eventlog.Type) int {
+	n := 0
+	for _, e := range c.Events().Events() {
+		if e.Type == typ && e.App == c.AppID() {
+			n++
+		}
+	}
+	return n
+}
+
 // mustCluster rebuilds the engine cluster with a fresh backend config
 // (helper for fixtures created before the worker VM exists).
 func mustCluster(t *testing.T, f *fixture, cfg Config, execs int, slo time.Duration, store storage.Store) *engine.Cluster {
@@ -136,6 +148,7 @@ func mustCluster(t *testing.T, f *fixture, cfg Config, execs int, slo time.Durat
 		Provider: f.provider,
 		Store:    store,
 		Backend:  f.backend,
+		Events:   eventlog.NewBus(simclock.Epoch),
 		Alloc:    engine.DefaultAllocConfig(engine.AllocStatic, execs, execs),
 		SLO:      slo,
 	})
@@ -203,15 +216,14 @@ func TestSegueMovesWorkToVMs(t *testing.T) {
 		checkSum(t, job, 400_000)
 	}
 
-	log := f.cluster.Log()
-	if len(log.ByKind(metrics.SegueCommence)) == 0 {
+	if count(f.cluster, eventlog.Segue) == 0 {
 		t.Fatal("segue never commenced")
 	}
-	if len(log.ByKind(metrics.ExecutorDraining)) == 0 {
+	if count(f.cluster, eventlog.ExecutorDrain) == 0 {
 		t.Fatal("no lambda was drained")
 	}
 	// Graceful segue: no task failures.
-	if got := len(log.ByKind(metrics.TaskFailed)); got != 0 {
+	if got := count(f.cluster, eventlog.TaskFailed); got != 0 {
 		t.Fatalf("segue caused %d task failures (rollback)", got)
 	}
 	// All lambdas must be decommissioned and released.
@@ -238,7 +250,7 @@ func TestNoSegueWhenSLOWithinVMStartup(t *testing.T) {
 	if _, err := f.cluster.RunJob(workJob(f.ctx, 4_000, 4, 100), "short"); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.cluster.Log().ByKind(metrics.VMRequested)) != 0 {
+	if count(f.cluster, eventlog.VMRequest) != 0 {
 		t.Fatal("segue VM requested for a short-SLO job")
 	}
 }
@@ -255,7 +267,7 @@ func TestTTLSafetyDrainAvoidsExpiry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	drained := len(f.cluster.Log().ByKind(metrics.ExecutorDraining))
+	drained := count(f.cluster, eventlog.ExecutorDrain)
 	if drained == 0 {
 		t.Fatal("TTL safety margin never drained a lambda")
 	}
@@ -298,7 +310,7 @@ func TestLambdaExpiryCausesRecoveryButJobCompletes(t *testing.T) {
 	if expired == 0 {
 		t.Fatal("no lambda expired; test premise broken")
 	}
-	if got := len(f.cluster.Log().ByKind(metrics.TaskFailed)); got == 0 {
+	if got := count(f.cluster, eventlog.TaskFailed); got == 0 {
 		t.Fatal("expiry should have failed running tasks")
 	}
 }

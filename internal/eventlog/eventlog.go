@@ -1,7 +1,8 @@
 // Package eventlog is the simulator's structured event stream — the
 // discrete-event counterpart of Spark's event log (SparkListenerEvent +
-// EventLoggingListener). Engine, cluster, shuffle, HDFS and cloud all emit
-// flat, append-only events on the virtual clock; the stream serialises to
+// EventLoggingListener) and the one recorder of what happened in a run.
+// Engine, cluster, shuffle, HDFS and cloud all emit flat, append-only
+// events on the virtual clock; the stream serialises to
 // JSONL (one event per line, fixed field order) so two runs with the same
 // seed produce byte-identical logs, and a saved log can be replayed by
 // cmd/splitserve-history long after the run that produced it.
@@ -29,7 +30,7 @@ type Type string
 
 // Event types, grouped by emitting subsystem.
 const (
-	// Engine (bridged from the metrics timeline).
+	// Engine (emitted through engine.Cluster.Emit).
 	JobStart         Type = "job_start"
 	JobEnd           Type = "job_end"
 	StageStart       Type = "stage_start"
@@ -174,7 +175,7 @@ type Bus struct {
 	mu     sync.Mutex
 	origin time.Time
 	events []Event
-	subs   []func(Event)
+	subs   []*func(Event)
 }
 
 // NewBus returns a Bus whose time zero is origin; every emitted event's TS
@@ -190,14 +191,28 @@ func (b *Bus) Origin() time.Time {
 }
 
 // Subscribe registers fn to observe every subsequent event, in emission
-// order, synchronously under the bus lock (keep fn cheap).
-func (b *Bus) Subscribe(fn func(Event)) {
+// order, synchronously under the bus lock (keep fn cheap). The returned
+// detach removes fn, so a bus shared across runs does not keep each
+// run's subscriber, and what it captures, reachable; calling it again
+// does nothing.
+func (b *Bus) Subscribe(fn func(Event)) (detach func()) {
 	if b == nil {
-		return
+		return func() {}
 	}
+	sub := &fn
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.subs = append(b.subs, fn)
+	b.subs = append(b.subs, sub)
+	return func() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		for i, s := range b.subs {
+			if s == sub {
+				b.subs = append(b.subs[:i:i], b.subs[i+1:]...)
+				return
+			}
+		}
+	}
 }
 
 // Emit stamps e with the offset of at from the origin, validates its type,
@@ -215,7 +230,7 @@ func (b *Bus) Emit(at time.Time, e Event) {
 	e.TS = at.Sub(b.origin).Microseconds()
 	b.events = append(b.events, e)
 	for _, fn := range b.subs {
-		fn(e)
+		(*fn)(e)
 	}
 }
 

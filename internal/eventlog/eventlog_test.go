@@ -128,7 +128,7 @@ func TestEmitPanicsOnUnknownType(t *testing.T) {
 func TestNilBusIsNoOp(t *testing.T) {
 	var b *Bus
 	b.Emit(testOrigin, Ev(JobStart))
-	b.Subscribe(func(Event) {})
+	b.Subscribe(func(Event) {})()
 	if b.Len() != 0 || b.Events() != nil {
 		t.Fatal("nil bus should be inert")
 	}
@@ -148,6 +148,23 @@ func TestSubscribeSeesEvents(t *testing.T) {
 	}
 	if evs := b.Events(); evs[0].TS != time.Second.Microseconds() {
 		t.Fatalf("TS stamping: got %d", evs[0].TS)
+	}
+}
+
+func TestDetachStopsDelivery(t *testing.T) {
+	b := NewBus(testOrigin)
+	var first, second int
+	detach := b.Subscribe(func(Event) { first++ })
+	b.Subscribe(func(Event) { second++ })
+	b.Emit(at(time.Second), Ev(JobStart))
+	detach()
+	detach()
+	b.Emit(at(2*time.Second), Ev(JobEnd))
+	if first != 1 || second != 2 {
+		t.Fatalf("after detach: first saw %d events, second %d; want 1 and 2", first, second)
+	}
+	if len(b.subs) != 1 {
+		t.Fatalf("bus keeps %d subscribers after detach, want 1", len(b.subs))
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"splitserve/internal/costmgr"
 )
 
-var updateProfiles = flag.Bool("update", false, "regenerate testdata/profiles.json from BuildProfileFile")
+var update = flag.Bool("update", false, "regenerate the golden files under testdata")
 
 // loadTestProfiles returns the checked-in seed-1 profile file (the same
 // bytes `splitserve-profile -out` writes). Regenerate after calibration
@@ -20,7 +20,7 @@ var updateProfiles = flag.Bool("update", false, "regenerate testdata/profiles.js
 func loadTestProfiles(t *testing.T) *costmgr.File {
 	t.Helper()
 	path := filepath.Join("testdata", "profiles.json")
-	if *updateProfiles {
+	if *update {
 		f, err := BuildProfileFile(1, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("BuildProfileFile: %v", err)

@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"splitserve/internal/cloud"
 	"splitserve/internal/eventlog"
+	"splitserve/internal/simclock"
 	"splitserve/internal/workloads/pagerank"
 	"splitserve/internal/workloads/sparkpi"
 )
@@ -311,6 +314,25 @@ func TestRunEventLogDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunDetachesSpanBridge runs on a caller's bus, which outlives the
+// run: once Run returns, the run's span bridge must have left the bus, so
+// later events on it no longer reach the finished run's tracer.
+func TestRunDetachesSpanBridge(t *testing.T) {
+	bus := eventlog.NewBus(simclock.Epoch)
+	res, err := Run(Scenario{Kind: SSHybrid, R: 8, SmallR: 2, Seed: 1, Events: bus, AppID: "shared"},
+		smallWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	marks := len(res.Telem.Tracer().Marks())
+	e := eventlog.Ev(eventlog.Segue)
+	e.App = "shared"
+	bus.Emit(simclock.Epoch, e)
+	if got := len(res.Telem.Tracer().Marks()); got != marks {
+		t.Fatalf("an event emitted after Run reached its tracer: %d marks, want %d", got, marks)
+	}
+}
+
 // TestRunTelemetryCoverage checks the report carries the signals the paper's
 // analysis needs: per-stage scheduling latency, shuffle bytes, and executor
 // launch spans on both substrates.
@@ -346,5 +368,31 @@ func TestRunTelemetryCoverage(t *testing.T) {
 	}
 	if !launchKinds["vm"] || !launchKinds["lambda"] {
 		t.Errorf("executor launch spans missing a kind: got %v", launchKinds)
+	}
+}
+
+// TestFigure7Golden pins the Figure-7 timelines, a projection of each
+// run's event stream, to the text splitserve-bench -fig 7 prints.
+// Regenerate with
+//
+//	go test ./internal/experiments -run Figure7Golden -update
+func TestFigure7Golden(t *testing.T) {
+	res, err := Figure7(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := FormatFigure7(res)
+	path := filepath.Join("testdata", "fig7.golden.txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to regenerate): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("Figure 7 drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

@@ -152,12 +152,11 @@ type Result struct {
 	CostUSD  float64
 	ByKind   map[string]float64
 	Answer   string
-	// Log gives access to the event timeline (Figure 7).
-	Log *metrics.Log
 	// Telem is the run's telemetry hub: every counter, histogram, span and
 	// mark the stack recorded, ready for -report export.
 	Telem *telemetry.Hub
-	// Events is the run's structured event stream (JSONL / Chrome trace).
+	// Events is the run's structured event stream (JSONL / Chrome trace,
+	// and the Figure-7 timeline; see Timeline).
 	Events *eventlog.Bus
 	// Lambdas/VMExecs are the executor mix that ran.
 	Lambdas int
@@ -166,6 +165,14 @@ type Result struct {
 	// substrate.
 	VMWork     engine.WorkStats
 	LambdaWork engine.WorkStats
+
+	app string
+}
+
+// Timeline renders the run's per-executor execution timeline (Figure 7)
+// from its event stream, width columns wide.
+func (r *Result) Timeline(width int) string {
+	return metrics.RenderTimeline(r.Events.Events(), r.app, width)
 }
 
 // Run executes workload w under scenario sc and returns execution time and
@@ -207,6 +214,11 @@ func Run(sc Scenario, w workloads.Workload) (*Result, error) {
 	if sc.VMBootMean > 0 {
 		provOpts.VMBootMean = sc.VMBootMean
 	}
+	// The run's telemetry report carries the engine's spans and marks,
+	// projected from the event stream as it is emitted. The bridge leaves
+	// the bus with the run, which may share it with later runs.
+	detach := metrics.BridgeSpans(bus, hub, appID)
+	defer detach()
 	provider := cloud.NewProvider(clock, net, simrand.New(sc.Seed+1), provOpts)
 	provider.SetTelemetry(hub)
 	provider.SetEventLog(bus)
@@ -348,9 +360,9 @@ func Run(sc Scenario, w workloads.Workload) (*Result, error) {
 		// (JVM boot, SparkContext init) every scenario pays identically.
 		ExecTime: report.Elapsed + appStartup,
 		Answer:   report.Answer,
-		Log:      cluster.Log(),
 		Telem:    hub,
 		Events:   bus,
+		app:      appID,
 	}
 	for _, e := range cluster.AllExecutors() {
 		switch e.Kind {

@@ -33,6 +33,18 @@ func FormatResults(title string, results []*Result, baseline string) string {
 	return b.String()
 }
 
+// FormatFigure7 renders Figure 7: each run's per-executor execution
+// timeline, 100 columns wide, under its scenario and execution time.
+func FormatFigure7(results []*Result) string {
+	var b strings.Builder
+	b.WriteString("== Figure 7: PageRank execution timelines ==\n")
+	for _, r := range results {
+		fmt.Fprintf(&b, "--- %s (execution time %v)\n", r.Scenario, r.ExecTime.Round(100*time.Millisecond))
+		b.WriteString(r.Timeline(100))
+	}
+	return b.String()
+}
+
 // FormatResultsByWorkload groups results (e.g. Figure 5's four queries)
 // and renders one table per workload.
 func FormatResultsByWorkload(title string, results []*Result, baseline string) string {

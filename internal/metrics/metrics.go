@@ -1,13 +1,12 @@
-// Package metrics records the simulation event timeline: executor
-// registrations, task and stage spans, segue commencement, and job
-// boundaries. Figure 7 of the paper — per-scenario execution timelines with
-// executor start markers and the segue instant — is rendered from this log.
+// Package metrics projects the engine's structured event stream
+// (internal/eventlog) into the views the paper's analysis reads: task and
+// stage spans, and the Figure-7 per-executor timeline with executor starts
+// and the segue instant. Every view is a function of []eventlog.Event
+// filtered by App, so a saved event log renders exactly like a live run.
 //
-// Since the telemetry refactor the Log is a *view builder* over the span
-// tracer in internal/telemetry: every Add bridges the event into spans and
-// marks on the Log's Hub, and TaskSpans/StageSpans/RenderTimeline read the
-// tracer back. There is no parallel bookkeeping path — the Figure-7
-// timeline and the -report exports are two projections of one trace.
+// BridgeSpans is the one live projection: a bus subscriber that records an
+// app's engine events as telemetry spans and marks, for runs that export a
+// telemetry report.
 package metrics
 
 import (
@@ -21,69 +20,45 @@ import (
 	"splitserve/internal/telemetry"
 )
 
-// Kind enumerates event types.
-type Kind string
+// markNames are the engine's instant events and the telemetry mark each
+// one becomes.
+var markNames = map[eventlog.Type]string{
+	eventlog.Segue:            "segue_commence",
+	eventlog.VMRequest:        "vm_requested",
+	eventlog.VMReady:          "vm_ready",
+	eventlog.StageResubmitted: "stage_resubmitted",
+	eventlog.TaskSpeculated:   "task_speculated",
+}
 
-// Event kinds.
-const (
-	JobStart           Kind = "job_start"
-	JobEnd             Kind = "job_end"
-	StageStart         Kind = "stage_start"
-	StageEnd           Kind = "stage_end"
-	TaskStart          Kind = "task_start"
-	TaskEnd            Kind = "task_end"
-	TaskFailed         Kind = "task_failed"
-	ExecutorRegistered Kind = "executor_registered"
-	ExecutorRemoved    Kind = "executor_removed"
-	ExecutorDraining   Kind = "executor_draining"
-	SegueCommence      Kind = "segue_commence"
-	VMRequested        Kind = "vm_requested"
-	VMReady            Kind = "vm_ready"
-	StageResubmitted   Kind = "stage_resubmitted"
-	TaskSpeculated     Kind = "task_speculated"
-)
-
-// String returns the kind's wire name.
-func (k Kind) String() string { return string(k) }
-
-// Valid reports whether k is a known event kind.
-func (k Kind) Valid() bool {
-	switch k {
-	case JobStart, JobEnd, StageStart, StageEnd, TaskStart, TaskEnd,
-		TaskFailed, ExecutorRegistered, ExecutorRemoved, ExecutorDraining,
-		SegueCommence, VMRequested, VMReady, StageResubmitted, TaskSpeculated:
+// isEngineEvent reports whether t is one of the event types the engine
+// and its backends emit for an application (the cloud provider's
+// vm_request/vm_ready carry no App and are filtered out by app).
+func isEngineEvent(t eventlog.Type) bool {
+	switch t {
+	case eventlog.JobStart, eventlog.JobEnd, eventlog.StageStart, eventlog.StageEnd,
+		eventlog.TaskStart, eventlog.TaskEnd, eventlog.TaskFailed,
+		eventlog.ExecutorAdd, eventlog.ExecutorDrain, eventlog.ExecutorRemove:
 		return true
 	}
-	return false
+	_, ok := markNames[t]
+	return ok
 }
 
-// Event is one timeline entry.
-type Event struct {
-	At       time.Time
-	Kind     Kind
-	Exec     string // executor ID if applicable
-	ExecKind string // "vm" or "lambda"
-	Stage    int    // -1 if n/a
-	Task     int    // -1 if n/a
-	Note     string
-}
+// offset is an event's instant as an offset from the bus origin.
+func offset(e eventlog.Event) time.Duration { return time.Duration(e.TS) * time.Microsecond }
 
-// Log is an append-only event log bridging into a telemetry Hub.
-// The zero value is unusable; call New or NewWithTelemetry.
-type Log struct {
-	start    time.Time
-	hub      *telemetry.Hub
-	app      string
-	events   []Event
-	end      time.Time // latest event instant, for clamping open spans
-	bus      *eventlog.Bus
-	eventApp string
-
-	openTasks  map[taskKey]*telemetry.Span
-	openStages map[int]*telemetry.Span
-	openJobs   map[string]*telemetry.Span
-	openExecs  map[string]*telemetry.Span
-	openDrains map[string]*telemetry.Span
+// Span is one task execution on one executor, as offsets from the bus
+// origin. Open marks a task that started but never finished (e.g. its
+// Lambda drained mid-run); its End is clamped to the app's last engine
+// event.
+type Span struct {
+	Exec     string
+	ExecKind string
+	Stage    int
+	Task     int
+	Start    time.Duration
+	End      time.Duration
+	Open     bool
 }
 
 type taskKey struct {
@@ -92,348 +67,139 @@ type taskKey struct {
 	task  int
 }
 
-// New returns a Log whose relative timestamps are measured from start. It
-// owns a private telemetry Hub; use NewWithTelemetry to share one with the
-// rest of the stack.
-func New(start time.Time) *Log {
-	return NewWithTelemetry(start, telemetry.New(telemetry.StaticClock(start)))
-}
-
-// NewWithTelemetry returns a Log that bridges its events into hub's
-// tracer. Events carry explicit timestamps, so the hub's clock is never
-// consulted by the Log itself.
-func NewWithTelemetry(start time.Time, hub *telemetry.Hub) *Log {
-	if hub == nil {
-		hub = telemetry.New(telemetry.StaticClock(start))
-	}
-	return &Log{
-		start:      start,
-		hub:        hub,
-		end:        start,
-		openTasks:  make(map[taskKey]*telemetry.Span),
-		openStages: make(map[int]*telemetry.Span),
-		openJobs:   make(map[string]*telemetry.Span),
-		openExecs:  make(map[string]*telemetry.Span),
-		openDrains: make(map[string]*telemetry.Span),
-	}
-}
-
-// Start returns the log's origin instant.
-func (l *Log) Start() time.Time { return l.start }
-
-// Telemetry returns the hub this log bridges into.
-func (l *Log) Telemetry() *telemetry.Hub { return l.hub }
-
-// SetApp labels every span and mark this log bridges with app, and scopes
-// TaskSpans/StageSpans/RenderTimeline to that app. Required when several
-// engine clusters share one telemetry hub (the cluster layer): without
-// the label, two concurrent jobs that both run "stage 0" would collide in
-// the shared tracer and bleed into each other's timelines.
-func (l *Log) SetApp(app string) { l.app = app }
-
-// App returns the log's app scope ("" = unscoped).
-func (l *Log) App() string { return l.app }
-
-// SetEventLog mirrors every subsequent Add into bus as structured eventlog
-// events stamped app. The app name is explicit (not taken from SetApp)
-// because event-log scoping is orthogonal to span labeling: a single-job
-// sim wants app-tagged events without growing app labels on its spans,
-// which would change existing report bytes.
-func (l *Log) SetEventLog(bus *eventlog.Bus, app string) {
-	l.bus = bus
-	l.eventApp = app
-}
-
-// attrs appends the app label (when set) to a span's base attributes.
-func (l *Log) attrs(base ...telemetry.Label) []telemetry.Label {
-	if l.app == "" {
-		return base
-	}
-	return append(base, telemetry.L("app", l.app))
-}
-
-// scoped reports whether a tracer span belongs to this log's app scope.
-func (l *Log) scoped(app string) bool { return l.app == "" || app == l.app }
-
-// Add appends an event and mirrors it into the tracer. Unknown kinds are
-// rejected with an error and not recorded (guards against typo'd event
-// names as call sites multiply).
-func (l *Log) Add(e Event) error {
-	if !e.Kind.Valid() {
-		return fmt.Errorf("metrics: unknown event kind %q", string(e.Kind))
-	}
-	l.events = append(l.events, e)
-	if e.At.After(l.end) {
-		l.end = e.At
-	}
-	l.bridge(e)
-	l.emitEvent(e)
-	return nil
-}
-
-// kindToEventType maps timeline kinds onto the eventlog vocabulary.
-var kindToEventType = map[Kind]eventlog.Type{
-	JobStart:           eventlog.JobStart,
-	JobEnd:             eventlog.JobEnd,
-	StageStart:         eventlog.StageStart,
-	StageEnd:           eventlog.StageEnd,
-	TaskStart:          eventlog.TaskStart,
-	TaskEnd:            eventlog.TaskEnd,
-	TaskFailed:         eventlog.TaskFailed,
-	ExecutorRegistered: eventlog.ExecutorAdd,
-	ExecutorDraining:   eventlog.ExecutorDrain,
-	ExecutorRemoved:    eventlog.ExecutorRemove,
-	SegueCommence:      eventlog.Segue,
-	VMRequested:        eventlog.VMRequest,
-	VMReady:            eventlog.VMReady,
-	StageResubmitted:   eventlog.StageResubmitted,
-	TaskSpeculated:     eventlog.TaskSpeculated,
-}
-
-// emitEvent forwards one timeline event to the event-log bus (no-op when
-// no bus is attached).
-func (l *Log) emitEvent(e Event) {
-	if l.bus == nil {
-		return
-	}
-	t, ok := kindToEventType[e.Kind]
-	if !ok {
-		return
-	}
-	ev := eventlog.Ev(t)
-	ev.App = l.eventApp
-	ev.Exec = e.Exec
-	ev.Kind = e.ExecKind
-	ev.Stage = e.Stage
-	ev.Task = e.Task
-	ev.Note = e.Note
-	if e.Kind == ExecutorRegistered {
-		ev.Cores = 1 // executors are one core each, as in the paper
-	}
-	l.bus.Emit(e.At, ev)
-}
-
-// bridge translates one event into tracer spans and marks.
-func (l *Log) bridge(e Event) {
-	tr := l.hub.Tracer()
-	switch e.Kind {
-	case JobStart:
-		l.openJobs[e.Note] = tr.StartSpanAt(e.At, "job", "run", l.attrs(telemetry.L("job", e.Note))...)
-	case JobEnd:
-		if s, ok := l.openJobs[e.Note]; ok {
-			s.EndAt(e.At)
-			delete(l.openJobs, e.Note)
-		}
-	case StageStart:
-		l.openStages[e.Stage] = tr.StartSpanAt(e.At, "stage", "run",
-			l.attrs(telemetry.L("stage", strconv.Itoa(e.Stage)))...)
-	case StageEnd:
-		if s, ok := l.openStages[e.Stage]; ok {
-			s.EndAt(e.At)
-			delete(l.openStages, e.Stage)
-		}
-	case TaskStart:
-		k := taskKey{e.Exec, e.Stage, e.Task}
-		l.openTasks[k] = tr.StartSpanAt(e.At, "task", "run",
-			l.attrs(
-				telemetry.L("exec", e.Exec),
-				telemetry.L("kind", e.ExecKind),
-				telemetry.L("stage", strconv.Itoa(e.Stage)),
-				telemetry.L("task", strconv.Itoa(e.Task)))...)
-	case TaskEnd, TaskFailed:
-		k := taskKey{e.Exec, e.Stage, e.Task}
-		if s, ok := l.openTasks[k]; ok {
-			s.EndAt(e.At)
-			delete(l.openTasks, k)
-		}
-	case ExecutorRegistered:
-		l.openExecs[e.Exec] = tr.StartSpanAt(e.At, "executor", "lifetime",
-			l.attrs(telemetry.L("exec", e.Exec), telemetry.L("kind", e.ExecKind))...)
-	case ExecutorDraining:
-		l.openDrains[e.Exec] = tr.StartSpanAt(e.At, "executor", "drain",
-			l.attrs(telemetry.L("exec", e.Exec), telemetry.L("kind", e.ExecKind))...)
-	case ExecutorRemoved:
-		if s, ok := l.openDrains[e.Exec]; ok {
-			s.EndAt(e.At)
-			delete(l.openDrains, e.Exec)
-		}
-		if s, ok := l.openExecs[e.Exec]; ok {
-			s.EndAt(e.At)
-			delete(l.openExecs, e.Exec)
-		}
-	case SegueCommence, VMRequested, VMReady, StageResubmitted, TaskSpeculated:
-		attrs := make([]telemetry.Label, 0, 3)
-		if e.Exec != "" {
-			attrs = append(attrs, telemetry.L("exec", e.Exec))
-		}
-		if e.Stage >= 0 {
-			attrs = append(attrs, telemetry.L("stage", strconv.Itoa(e.Stage)))
-		}
-		if e.Task >= 0 {
-			attrs = append(attrs, telemetry.L("task", strconv.Itoa(e.Task)))
-		}
-		tr.MarkAt(e.At, "timeline", string(e.Kind), l.attrs(attrs...)...)
-	}
-}
-
-// Events returns a copy of all events in insertion order.
-func (l *Log) Events() []Event { return append([]Event(nil), l.events...) }
-
-// ByKind returns the events of one kind.
-func (l *Log) ByKind(k Kind) []Event {
-	var out []Event
-	for _, e := range l.events {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Rel returns t as an offset from the log start.
-func (l *Log) Rel(t time.Time) time.Duration { return t.Sub(l.start) }
-
-// End returns the instant of the latest event recorded so far (the log
-// start if no events have been added).
-func (l *Log) End() time.Time { return l.end }
-
-// Span is one task execution on one executor. Open marks a task that
-// started but never finished (e.g. its Lambda drained mid-run); its End
-// is clamped to the log end.
-type Span struct {
-	Exec     string
-	ExecKind string
-	Stage    int
-	Task     int
-	Start    time.Time
-	End      time.Time
-	Open     bool
-}
-
-// TaskSpans projects the tracer's task spans, ordered by start time then
-// executor. Tasks with a task_start but no matching end are emitted as
-// open spans clamped to the log end, so drained-Lambda tasks still
-// render.
-func (l *Log) TaskSpans() []Span {
-	var spans []Span
-	for _, s := range l.hub.Tracer().Spans() {
-		if s.Component != "task" || s.Name != "run" || !l.scoped(s.Attr("app")) {
+// TaskSpans pairs app's task_start events with their task_end or
+// task_failed, ordered by start time then executor. Tasks with a
+// task_start but no matching end are emitted as open spans, so
+// drained-Lambda tasks still render.
+func TaskSpans(events []eventlog.Event, app string) []Span {
+	var (
+		spans []Span
+		end   time.Duration
+		open  = map[taskKey]int{}
+	)
+	for _, e := range events {
+		if e.App != app || !isEngineEvent(e.Type) {
 			continue
 		}
-		stage, _ := strconv.Atoi(s.Attr("stage"))
-		task, _ := strconv.Atoi(s.Attr("task"))
-		sp := Span{
-			Exec:     s.Attr("exec"),
-			ExecKind: s.Attr("kind"),
-			Stage:    stage,
-			Task:     task,
-			Start:    s.Start,
+		end = max(end, offset(e))
+		k := taskKey{e.Exec, e.Stage, e.Task}
+		switch e.Type {
+		case eventlog.TaskStart:
+			open[k] = len(spans)
+			spans = append(spans, Span{
+				Exec: e.Exec, ExecKind: e.Kind, Stage: e.Stage, Task: e.Task,
+				Start: offset(e), Open: true,
+			})
+		case eventlog.TaskEnd, eventlog.TaskFailed:
+			if i, ok := open[k]; ok {
+				spans[i].End, spans[i].Open = offset(e), false
+				delete(open, k)
+			}
 		}
-		if s.Open {
-			sp.End = l.end
-			sp.Open = true
-		} else {
-			sp.End = s.Finish
+	}
+	for i := range spans {
+		if spans[i].Open {
+			spans[i].End = end
 		}
-		spans = append(spans, sp)
 	}
 	sort.Slice(spans, func(i, j int) bool {
-		if !spans[i].Start.Equal(spans[j].Start) {
-			return spans[i].Start.Before(spans[j].Start)
+		if spans[i].Start != spans[j].Start {
+			return spans[i].Start < spans[j].Start
 		}
 		return spans[i].Exec < spans[j].Exec
 	})
 	return spans
 }
 
-// StageSpan is one stage's (start, end) interval.
+// StageSpan is one stage's (start, end) interval, as offsets from the bus
+// origin.
 type StageSpan struct {
 	Stage int
-	Start time.Time
-	End   time.Time
+	Start time.Duration
+	End   time.Duration
 }
 
-// StageSpans projects the tracer's completed stage spans.
-func (l *Log) StageSpans() []StageSpan {
-	var out []StageSpan
-	for _, s := range l.hub.Tracer().Spans() {
-		if s.Component != "stage" || s.Name != "run" || s.Open || !l.scoped(s.Attr("app")) {
+// StageSpans pairs app's stage_start and stage_end events, ordered by
+// start time. Stages that never ended are left out.
+func StageSpans(events []eventlog.Event, app string) []StageSpan {
+	var (
+		out   []StageSpan
+		start = map[int]time.Duration{}
+	)
+	for _, e := range events {
+		if e.App != app {
 			continue
 		}
-		stage, _ := strconv.Atoi(s.Attr("stage"))
-		out = append(out, StageSpan{Stage: stage, Start: s.Start, End: s.Finish})
+		switch e.Type {
+		case eventlog.StageStart:
+			start[e.Stage] = offset(e)
+		case eventlog.StageEnd:
+			if s, ok := start[e.Stage]; ok {
+				out = append(out, StageSpan{Stage: e.Stage, Start: s, End: offset(e)})
+				delete(start, e.Stage)
+			}
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
+	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
 }
 
-// RenderTimeline draws an ASCII per-executor timeline of task activity
-// (Figure 7 style): one row per executor, '#' where a task is running,
-// '|' at segue commencement, executor rows ordered by registration. A
-// header tick row marks segue ('S') and VM-ready ('V') columns
-// unconditionally, so those instants stay visible even when every
+// RenderTimeline draws an ASCII per-executor timeline of app's task
+// activity (Figure 7 style): one row per executor, '#' where a task is
+// running, '|' at segue commencement, executor rows ordered by
+// registration. A header tick row marks segue ('S') and VM-ready ('V')
+// columns unconditionally, so those instants stay visible even when every
 // executor row is dense with task activity.
-func (l *Log) RenderTimeline(width int) string {
+func RenderTimeline(events []eventlog.Event, app string, width int) string {
 	if width <= 10 {
 		width = 80
 	}
-	spans := l.TaskSpans()
+	spans := TaskSpans(events, app)
 	if len(spans) == 0 {
 		return "(no task activity)\n"
 	}
-	end := l.start
+	var total time.Duration
 	for _, s := range spans {
-		if s.End.After(end) {
-			end = s.End
-		}
+		total = max(total, s.End)
 	}
-	total := end.Sub(l.start)
 	if total <= 0 {
 		return "(zero-length timeline)\n"
 	}
-	col := func(t time.Time) int {
-		c := int(float64(t.Sub(l.start)) / float64(total) * float64(width-1))
-		if c < 0 {
-			c = 0
-		}
-		if c >= width {
-			c = width - 1
-		}
-		return c
+	col := func(t time.Duration) int {
+		c := int(float64(t) / float64(total) * float64(width-1))
+		return min(max(c, 0), width-1)
 	}
 
 	var execs []string
-	seen := map[string]string{}
-	for _, e := range l.ByKind(ExecutorRegistered) {
-		if _, ok := seen[e.Exec]; !ok {
-			seen[e.Exec] = e.ExecKind
-			execs = append(execs, e.Exec)
-		}
-	}
-	rows := make(map[string][]byte, len(execs))
-	for _, id := range execs {
-		row := make([]byte, width)
-		for i := range row {
-			row[i] = '.'
-		}
-		rows[id] = row
-	}
-	for _, s := range spans {
-		row, ok := rows[s.Exec]
-		if !ok {
+	kinds := map[string]string{}
+	rows := map[string][]byte{}
+	tick := []byte(strings.Repeat(" ", width))
+	var segues, ready []int
+	for _, e := range events {
+		if e.App != app {
 			continue
 		}
-		a, b := col(s.Start), col(s.End)
-		for i := a; i <= b; i++ {
-			row[i] = '#'
+		switch e.Type {
+		case eventlog.ExecutorAdd:
+			if _, ok := kinds[e.Exec]; !ok {
+				kinds[e.Exec] = e.Kind
+				execs = append(execs, e.Exec)
+				rows[e.Exec] = []byte(strings.Repeat(".", width))
+			}
+		case eventlog.Segue:
+			segues = append(segues, col(offset(e)))
+		case eventlog.VMReady:
+			ready = append(ready, col(offset(e)))
 		}
 	}
-	tick := make([]byte, width)
-	for i := range tick {
-		tick[i] = ' '
+	for _, s := range spans {
+		if row, ok := rows[s.Exec]; ok {
+			for i := col(s.Start); i <= col(s.End); i++ {
+				row[i] = '#'
+			}
+		}
 	}
-	for _, e := range l.ByKind(SegueCommence) {
-		c := col(e.At)
+	for _, c := range segues {
 		tick[c] = 'S'
 		for _, row := range rows {
 			if row[c] == '.' {
@@ -441,8 +207,8 @@ func (l *Log) RenderTimeline(width int) string {
 			}
 		}
 	}
-	for _, e := range l.ByKind(VMReady) {
-		if c := col(e.At); tick[c] == ' ' {
+	for _, c := range ready {
+		if tick[c] == ' ' {
 			tick[c] = 'V'
 		}
 	}
@@ -450,7 +216,86 @@ func (l *Log) RenderTimeline(width int) string {
 	fmt.Fprintf(&b, "timeline 0s .. %.1fs  ('#'=task running, '|'=segue; header: S=segue, V=vm-ready)\n", total.Seconds())
 	fmt.Fprintf(&b, "%-22s %s\n", "", tick)
 	for _, id := range execs {
-		fmt.Fprintf(&b, "%-22s %s\n", id+" ["+seen[id]+"]", rows[id])
+		fmt.Fprintf(&b, "%-22s %s\n", id+" ["+kinds[id]+"]", rows[id])
 	}
 	return b.String()
+}
+
+// spanKey identifies one open telemetry span: its component and name,
+// the job name or executor it belongs to, and its stage and task.
+type spanKey struct {
+	component, name string
+	id              string
+	stage, task     int
+}
+
+// BridgeSpans subscribes to bus and records app's engine events on hub's
+// tracer as they are emitted: job, stage and task runs, executor
+// lifetimes and drains as spans, and segue, VM request/ready, stage
+// resubmission and speculation as "timeline" marks. Attach it before the
+// run starts, and only where a telemetry report with spans is exported;
+// call detach when the run ends.
+func BridgeSpans(bus *eventlog.Bus, hub *telemetry.Hub, app string) (detach func()) {
+	tr := hub.Tracer()
+	origin := bus.Origin()
+	open := map[spanKey]*telemetry.Span{}
+	start := func(k spanKey, at time.Time, attrs ...telemetry.Label) {
+		open[k] = tr.StartSpanAt(at, k.component, k.name, attrs...)
+	}
+	end := func(k spanKey, at time.Time) {
+		if s, ok := open[k]; ok {
+			s.EndAt(at)
+			delete(open, k)
+		}
+	}
+	return bus.Subscribe(func(e eventlog.Event) {
+		if e.App != app {
+			return
+		}
+		at := origin.Add(offset(e))
+		stage, task := strconv.Itoa(e.Stage), strconv.Itoa(e.Task)
+		job := spanKey{component: "job", name: "run", id: e.Note}
+		stg := spanKey{component: "stage", name: "run", stage: e.Stage}
+		tsk := spanKey{"task", "run", e.Exec, e.Stage, e.Task}
+		life := spanKey{component: "executor", name: "lifetime", id: e.Exec}
+		drain := spanKey{component: "executor", name: "drain", id: e.Exec}
+		switch e.Type {
+		case eventlog.JobStart:
+			start(job, at, telemetry.L("job", e.Note))
+		case eventlog.JobEnd:
+			end(job, at)
+		case eventlog.StageStart:
+			start(stg, at, telemetry.L("stage", stage))
+		case eventlog.StageEnd:
+			end(stg, at)
+		case eventlog.TaskStart:
+			start(tsk, at, telemetry.L("exec", e.Exec), telemetry.L("kind", e.Kind),
+				telemetry.L("stage", stage), telemetry.L("task", task))
+		case eventlog.TaskEnd, eventlog.TaskFailed:
+			end(tsk, at)
+		case eventlog.ExecutorAdd:
+			start(life, at, telemetry.L("exec", e.Exec), telemetry.L("kind", e.Kind))
+		case eventlog.ExecutorDrain:
+			start(drain, at, telemetry.L("exec", e.Exec), telemetry.L("kind", e.Kind))
+		case eventlog.ExecutorRemove:
+			end(drain, at)
+			end(life, at)
+		default:
+			name, ok := markNames[e.Type]
+			if !ok {
+				return
+			}
+			var attrs []telemetry.Label
+			if e.Exec != "" {
+				attrs = append(attrs, telemetry.L("exec", e.Exec))
+			}
+			if e.Stage >= 0 {
+				attrs = append(attrs, telemetry.L("stage", stage))
+			}
+			if e.Task >= 0 {
+				attrs = append(attrs, telemetry.L("task", task))
+			}
+			tr.MarkAt(at, "timeline", name, attrs...)
+		}
+	})
 }

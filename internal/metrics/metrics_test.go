@@ -4,42 +4,30 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"splitserve/internal/eventlog"
+	"splitserve/internal/telemetry"
 )
 
-var t0 = time.Date(2020, 12, 7, 0, 0, 0, 0, time.UTC)
+const app = "app-1"
 
-func at(d time.Duration) time.Time { return t0.Add(d) }
-
-func TestAddAndByKind(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(0), Kind: JobStart, Stage: -1, Task: -1})
-	l.Add(Event{At: at(time.Second), Kind: TaskStart, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(2 * time.Second), Kind: TaskEnd, Exec: "e1", Stage: 0, Task: 0})
-	if len(l.Events()) != 3 {
-		t.Fatalf("events = %d", len(l.Events()))
-	}
-	if got := l.ByKind(TaskStart); len(got) != 1 || got[0].Exec != "e1" {
-		t.Fatalf("ByKind = %+v", got)
-	}
-	if l.Rel(at(2*time.Second)) != 2*time.Second {
-		t.Fatal("Rel broken")
-	}
-	if !l.Start().Equal(t0) {
-		t.Fatal("Start broken")
-	}
+// ev builds one of app's events at offset at from the bus origin.
+func ev(at time.Duration, typ eventlog.Type, exec, kind string, stage, task int) eventlog.Event {
+	return eventlog.Event{TS: at.Microseconds(), Type: typ, App: app,
+		Exec: exec, Kind: kind, Stage: stage, Task: task}
 }
 
 func TestTaskSpansPairing(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(1 * time.Second), Kind: TaskStart, Exec: "e1", ExecKind: "vm", Stage: 0, Task: 0})
-	l.Add(Event{At: at(2 * time.Second), Kind: TaskStart, Exec: "e2", ExecKind: "lambda", Stage: 0, Task: 1})
-	l.Add(Event{At: at(3 * time.Second), Kind: TaskEnd, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(5 * time.Second), Kind: TaskFailed, Exec: "e2", Stage: 0, Task: 1})
-	spans := l.TaskSpans()
+	spans := TaskSpans([]eventlog.Event{
+		ev(1*time.Second, eventlog.TaskStart, "e1", "vm", 0, 0),
+		ev(2*time.Second, eventlog.TaskStart, "e2", "lambda", 0, 1),
+		ev(3*time.Second, eventlog.TaskEnd, "e1", "vm", 0, 0),
+		ev(5*time.Second, eventlog.TaskFailed, "e2", "lambda", 0, 1),
+	}, app)
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d", len(spans))
 	}
-	if spans[0].Exec != "e1" || spans[0].End.Sub(spans[0].Start) != 2*time.Second {
+	if spans[0].Exec != "e1" || spans[0].End-spans[0].Start != 2*time.Second {
 		t.Fatalf("span 0 = %+v", spans[0])
 	}
 	if spans[1].ExecKind != "lambda" {
@@ -48,10 +36,12 @@ func TestTaskSpansPairing(t *testing.T) {
 }
 
 func TestTaskSpansUnmatchedStartEmitsOpenSpan(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(time.Second), Kind: TaskStart, Exec: "e1", ExecKind: "lambda", Stage: 0, Task: 0})
-	l.Add(Event{At: at(9 * time.Second), Kind: ExecutorRemoved, Exec: "e1", ExecKind: "lambda"})
-	spans := l.TaskSpans()
+	spans := TaskSpans([]eventlog.Event{
+		ev(time.Second, eventlog.TaskStart, "e1", "lambda", 0, 0),
+		ev(9*time.Second, eventlog.ExecutorRemove, "e1", "lambda", -1, -1),
+		// Another subsystem's later event does not move the clamp.
+		ev(20*time.Second, eventlog.HDFSRead, "", "", -1, -1),
+	}, app)
 	if len(spans) != 1 {
 		t.Fatalf("spans = %+v", spans)
 	}
@@ -59,46 +49,39 @@ func TestTaskSpansUnmatchedStartEmitsOpenSpan(t *testing.T) {
 	if !s.Open {
 		t.Fatalf("span not marked open: %+v", s)
 	}
-	if !s.End.Equal(at(9 * time.Second)) {
-		t.Fatalf("open span not clamped to log end: %+v", s)
+	if s.End != 9*time.Second {
+		t.Fatalf("open span not clamped to the last engine event: %+v", s)
 	}
 	if s.Exec != "e1" || s.ExecKind != "lambda" {
 		t.Fatalf("span identity lost: %+v", s)
 	}
 }
 
-func TestAddRejectsUnknownKind(t *testing.T) {
-	l := New(t0)
-	if err := l.Add(Event{At: at(0), Kind: Kind("task_strat")}); err == nil {
-		t.Fatal("typo'd kind accepted")
+// TestProjectionsFilterByApp: another app's events never enter a view.
+func TestProjectionsFilterByApp(t *testing.T) {
+	other := ev(0, eventlog.TaskStart, "x1", "vm", 0, 0)
+	other.App = "app-2"
+	events := []eventlog.Event{
+		other,
+		ev(0, eventlog.TaskStart, "e1", "vm", 0, 0),
+		ev(time.Second, eventlog.TaskEnd, "e1", "vm", 0, 0),
 	}
-	if len(l.Events()) != 0 {
-		t.Fatal("rejected event was recorded")
+	if spans := TaskSpans(events, app); len(spans) != 1 || spans[0].Exec != "e1" {
+		t.Fatalf("spans = %+v", spans)
 	}
-	if err := l.Add(Event{At: at(0), Kind: TaskStart, Exec: "e1"}); err != nil {
-		t.Fatalf("valid kind rejected: %v", err)
-	}
-}
-
-func TestKindStringAndValid(t *testing.T) {
-	if TaskStart.String() != "task_start" {
-		t.Fatalf("String = %q", TaskStart.String())
-	}
-	if !SegueCommence.Valid() {
-		t.Fatal("SegueCommence invalid")
-	}
-	if Kind("bogus").Valid() {
-		t.Fatal("bogus kind valid")
+	if spans := TaskSpans(events, "app-2"); len(spans) != 1 || !spans[0].Open {
+		t.Fatalf("other app's spans = %+v", spans)
 	}
 }
 
 func TestStageSpans(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(0), Kind: StageStart, Stage: 1})
-	l.Add(Event{At: at(time.Second), Kind: StageStart, Stage: 2})
-	l.Add(Event{At: at(3 * time.Second), Kind: StageEnd, Stage: 2})
-	l.Add(Event{At: at(4 * time.Second), Kind: StageEnd, Stage: 1})
-	spans := l.StageSpans()
+	spans := StageSpans([]eventlog.Event{
+		ev(0, eventlog.StageStart, "", "", 1, -1),
+		ev(time.Second, eventlog.StageStart, "", "", 2, -1),
+		ev(3*time.Second, eventlog.StageEnd, "", "", 2, -1),
+		ev(4*time.Second, eventlog.StageEnd, "", "", 1, -1),
+		ev(5*time.Second, eventlog.StageStart, "", "", 3, -1),
+	}, app)
 	if len(spans) != 2 {
 		t.Fatalf("stage spans = %d", len(spans))
 	}
@@ -108,13 +91,13 @@ func TestStageSpans(t *testing.T) {
 }
 
 func TestRenderTimeline(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(0), Kind: ExecutorRegistered, Exec: "e1", ExecKind: "vm"})
-	l.Add(Event{At: at(0), Kind: ExecutorRegistered, Exec: "e2", ExecKind: "lambda"})
-	l.Add(Event{At: at(0), Kind: TaskStart, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(10 * time.Second), Kind: TaskEnd, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(5 * time.Second), Kind: SegueCommence})
-	out := l.RenderTimeline(40)
+	out := RenderTimeline([]eventlog.Event{
+		ev(0, eventlog.ExecutorAdd, "e1", "vm", -1, -1),
+		ev(0, eventlog.ExecutorAdd, "e2", "lambda", -1, -1),
+		ev(0, eventlog.TaskStart, "e1", "vm", 0, 0),
+		ev(5*time.Second, eventlog.Segue, "", "", -1, -1),
+		ev(10*time.Second, eventlog.TaskEnd, "e1", "vm", 0, 0),
+	}, app, 40)
 	if !strings.Contains(out, "e1 [vm]") || !strings.Contains(out, "e2 [lambda]") {
 		t.Fatalf("missing rows:\n%s", out)
 	}
@@ -127,15 +110,15 @@ func TestRenderTimeline(t *testing.T) {
 }
 
 func TestRenderTimelineHeaderTicks(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(0), Kind: ExecutorRegistered, Exec: "e1", ExecKind: "vm"})
 	// Dense activity covering the whole row: the in-row segue marker can't
 	// land on a '.', so only the header tick row can show it.
-	l.Add(Event{At: at(0), Kind: TaskStart, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(10 * time.Second), Kind: TaskEnd, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(5 * time.Second), Kind: SegueCommence})
-	l.Add(Event{At: at(8 * time.Second), Kind: VMReady, Exec: "vm-1"})
-	out := l.RenderTimeline(40)
+	out := RenderTimeline([]eventlog.Event{
+		ev(0, eventlog.ExecutorAdd, "e1", "vm", -1, -1),
+		ev(0, eventlog.TaskStart, "e1", "vm", 0, 0),
+		ev(5*time.Second, eventlog.Segue, "", "", -1, -1),
+		ev(8*time.Second, eventlog.VMReady, "", "", -1, -1),
+		ev(10*time.Second, eventlog.TaskEnd, "e1", "vm", 0, 0),
+	}, app, 40)
 	if !strings.Contains(out, "S") {
 		t.Fatalf("header missing segue tick:\n%s", out)
 	}
@@ -150,31 +133,75 @@ func TestRenderTimelineHeaderTicks(t *testing.T) {
 }
 
 func TestRenderTimelineEmpty(t *testing.T) {
-	l := New(t0)
-	if got := l.RenderTimeline(40); !strings.Contains(got, "no task activity") {
+	if got := RenderTimeline(nil, app, 40); !strings.Contains(got, "no task activity") {
 		t.Fatalf("empty render = %q", got)
 	}
 }
 
 func TestRenderTimelineTinyWidthDefaults(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(0), Kind: ExecutorRegistered, Exec: "e1", ExecKind: "vm"})
-	l.Add(Event{At: at(0), Kind: TaskStart, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(time.Second), Kind: TaskEnd, Exec: "e1", Stage: 0, Task: 0})
-	out := l.RenderTimeline(1) // clamps to 80
+	out := RenderTimeline([]eventlog.Event{
+		ev(0, eventlog.ExecutorAdd, "e1", "vm", -1, -1),
+		ev(0, eventlog.TaskStart, "e1", "vm", 0, 0),
+		ev(time.Second, eventlog.TaskEnd, "e1", "vm", 0, 0),
+	}, app, 1) // clamps to 80
 	if len(out) == 0 {
 		t.Fatal("no output")
 	}
 }
 
 func TestDuplicateRegistrationIgnored(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(0), Kind: ExecutorRegistered, Exec: "e1", ExecKind: "vm"})
-	l.Add(Event{At: at(1), Kind: ExecutorRegistered, Exec: "e1", ExecKind: "vm"})
-	l.Add(Event{At: at(0), Kind: TaskStart, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(time.Second), Kind: TaskEnd, Exec: "e1", Stage: 0, Task: 0})
-	out := l.RenderTimeline(40)
+	out := RenderTimeline([]eventlog.Event{
+		ev(0, eventlog.ExecutorAdd, "e1", "vm", -1, -1),
+		ev(1, eventlog.ExecutorAdd, "e1", "vm", -1, -1),
+		ev(0, eventlog.TaskStart, "e1", "vm", 0, 0),
+		ev(time.Second, eventlog.TaskEnd, "e1", "vm", 0, 0),
+	}, app, 40)
 	if strings.Count(out, "e1 [vm]") != 1 {
 		t.Fatalf("duplicate rows:\n%s", out)
+	}
+}
+
+// TestBridgeSpans: the bus subscriber turns app's engine events into the
+// telemetry spans and marks a report exports, under their historical
+// names, and ignores other apps and the provider's app-less events.
+func TestBridgeSpans(t *testing.T) {
+	t0 := time.Date(2020, 12, 7, 0, 0, 0, 0, time.UTC)
+	bus := eventlog.NewBus(t0)
+	hub := telemetry.New(telemetry.StaticClock(t0))
+	BridgeSpans(bus, hub, app)
+	emit := func(e eventlog.Event) { bus.Emit(t0.Add(time.Duration(e.TS)*time.Microsecond), e) }
+
+	emit(ev(0, eventlog.JobStart, "", "", -1, -1))
+	emit(ev(0, eventlog.ExecutorAdd, "e1", "lambda", -1, -1))
+	emit(ev(time.Second, eventlog.StageStart, "", "", 0, -1))
+	emit(ev(time.Second, eventlog.TaskStart, "e1", "lambda", 0, 3))
+	provider := eventlog.Ev(eventlog.VMReady)
+	provider.TS = (2 * time.Second).Microseconds()
+	emit(provider)
+	emit(ev(2*time.Second, eventlog.Segue, "", "", -1, -1))
+	emit(ev(2*time.Second, eventlog.ExecutorDrain, "e1", "lambda", -1, -1))
+	emit(ev(3*time.Second, eventlog.TaskEnd, "e1", "lambda", 0, 3))
+	emit(ev(3*time.Second, eventlog.ExecutorRemove, "e1", "lambda", -1, -1))
+	other := ev(3*time.Second, eventlog.TaskStart, "x1", "vm", 0, 0)
+	other.App = "app-2"
+	emit(other)
+
+	var got []string
+	for _, s := range hub.Tracer().Spans() {
+		got = append(got, s.Component+"/"+s.Name)
+		if s.Component == "task" && (s.Attr("task") != "3" || s.Finish.Sub(s.Start) != 2*time.Second) {
+			t.Errorf("task span = %+v", s)
+		}
+		if s.Component == "executor" && s.Open {
+			t.Errorf("executor span left open: %+v", s)
+		}
+	}
+	want := "job/run executor/lifetime stage/run task/run executor/drain"
+	if strings.Join(got, " ") != want {
+		t.Errorf("spans = %v, want %s", got, want)
+	}
+	marks := hub.Tracer().Marks()
+	if len(marks) != 1 || marks[0].Name != "segue_commence" || marks[0].Component != "timeline" {
+		t.Errorf("marks = %+v, want one timeline/segue_commence", marks)
 	}
 }

@@ -346,3 +346,27 @@ func TestMergedEventsOrdered(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRecordsNoSpans: no shard's hub records spans or marks, since a
+// sharded run exports only reports, event logs and metrics.
+func TestRunRecordsNoSpans(t *testing.T) {
+	m, err := New(Config{Shards: 4, Cluster: cluster.Config{
+		Jobs: tenantStream(t), PoolCores: 16, Seed: 7,
+		Strategy: cluster.StrategyBridge,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range m.shards {
+		if sh.sched == nil {
+			continue
+		}
+		tr := sh.sched.Telemetry().Tracer()
+		if spans, marks := len(tr.Spans()), len(tr.Marks()); spans != 0 || marks != 0 {
+			t.Errorf("shard %d hub tracer holds %d spans and %d marks, want 0 and 0", sh.idx, spans, marks)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"splitserve/internal/cloud"
+	"splitserve/internal/eventlog"
 	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
 	"splitserve/internal/simrand"
@@ -161,7 +162,7 @@ func TestChaosDurableStoreVsLocal(t *testing.T) {
 		backend := NewStandalone(StandaloneConfig{VMs: []*cloud.VM{vm}})
 		cluster, err := New(Config{
 			AppID: "chaos3", Clock: clock, Net: net, Provider: provider,
-			Store: store, Backend: backend,
+			Store: store, Backend: backend, Events: eventlog.NewBus(simclock.Epoch),
 			Alloc:           DefaultAllocConfig(AllocStatic, 8, 8),
 			MaxTaskAttempts: 10,
 		})
@@ -182,7 +183,7 @@ func TestChaosDurableStoreVsLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkChaosResult(t, job, 5200)
-		return len(cluster.Log().TaskSpans())
+		return len(taskSpans(cluster))
 	}
 	durable := taskCount(true)
 	lossy := taskCount(false)

@@ -7,7 +7,6 @@ import (
 
 	"splitserve/internal/cloud"
 	"splitserve/internal/eventlog"
-	"splitserve/internal/metrics"
 	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
 	"splitserve/internal/spark/rdd"
@@ -68,14 +67,13 @@ type Config struct {
 	Store   storage.Store
 	Backend Backend
 	Perf    PerfModel
-	Log     *metrics.Log
-	// Telem is the telemetry hub the engine records into. Defaults to the
-	// Log's hub (so the event timeline and the metrics share one trace);
-	// nil with no Log means a fresh hub is created.
+	// Telem is the telemetry hub the engine's counters, gauges and
+	// histograms record into. Nil records no metrics.
 	Telem *telemetry.Hub
-	// Events, when set, receives the structured event stream: the metrics
-	// Log bridges its timeline into it (tagged AppID) and the shuffle
-	// tracker emits read/write events. Nil disables event logging.
+	// Events receives the engine's structured event stream, tagged AppID:
+	// the engine and its backend emit their job, stage, task and executor
+	// events here (see Emit) and the shuffle tracker its read/write
+	// events. It is the engine's only recorder; nil records nothing.
 	Events *eventlog.Bus
 	Alloc  AllocConfig
 	// LocalityWait is how long a task holds out for the executor caching
@@ -169,16 +167,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Perf == (PerfModel{}) {
 		cfg.Perf = DefaultPerfModel()
 	}
-	if cfg.Log == nil {
-		if cfg.Telem != nil {
-			cfg.Log = metrics.NewWithTelemetry(cfg.Clock.Now(), cfg.Telem)
-		} else {
-			cfg.Log = metrics.New(cfg.Clock.Now())
-		}
-	}
-	if cfg.Telem == nil {
-		cfg.Telem = cfg.Log.Telemetry()
-	}
 	if cfg.LocalityWait == 0 {
 		cfg.LocalityWait = 3 * time.Second
 	}
@@ -199,7 +187,6 @@ func New(cfg Config) (*Cluster, error) {
 		cacheWhere: make(map[cachedPart]string),
 	}
 	if cfg.Events != nil {
-		cfg.Log.SetEventLog(cfg.Events, cfg.AppID)
 		c.tracker.SetEventLog(cfg.Events, cfg.Clock.Now, cfg.AppID)
 	}
 	c.insts = newEngineInstruments(cfg.Telem)
@@ -222,8 +209,17 @@ func (c *Cluster) Provider() *cloud.Provider { return c.cfg.Provider }
 // Store returns the shuffle store.
 func (c *Cluster) Store() storage.Store { return c.cfg.Store }
 
-// Log returns the metrics log.
-func (c *Cluster) Log() *metrics.Log { return c.cfg.Log }
+// Events returns the run's event bus (nil when the engine records
+// nothing).
+func (c *Cluster) Events() *eventlog.Bus { return c.cfg.Events }
+
+// Emit records one engine event at the current virtual instant on the
+// run's event bus, tagged with the application ID. The engine and its
+// backends record through it and nothing else.
+func (c *Cluster) Emit(e eventlog.Event) {
+	e.App = c.cfg.AppID
+	c.cfg.Events.Emit(c.cfg.Clock.Now(), e)
+}
 
 // Telemetry returns the cluster's telemetry hub.
 func (c *Cluster) Telemetry() *telemetry.Hub { return c.cfg.Telem }
@@ -292,10 +288,9 @@ func (c *Cluster) RegisterExecutor(spec ExecutorSpec) *Executor {
 	if local, ok := c.cfg.Store.(*storage.Local); ok {
 		local.RegisterHost(spec.HostID, spec.Serve)
 	}
-	c.cfg.Log.Add(metrics.Event{
-		At: c.cfg.Clock.Now(), Kind: metrics.ExecutorRegistered,
-		Exec: spec.ID, ExecKind: spec.Kind.String(), Stage: -1, Task: -1,
-	})
+	// Executors are one core each, as in the paper.
+	c.Emit(eventlog.Event{Type: eventlog.ExecutorAdd, Exec: spec.ID, Kind: spec.Kind.String(),
+		Stage: -1, Task: -1, Cores: 1})
 	c.insts.execLive[kindIdx(spec.Kind)].Inc()
 	c.sched.onExecutorUp(e)
 	return e
@@ -313,10 +308,8 @@ func (c *Cluster) RemoveExecutor(id string, hostLost bool, reason string) {
 	}
 	e.State = ExecDead
 	e.RemovedAt = c.cfg.Clock.Now()
-	c.cfg.Log.Add(metrics.Event{
-		At: c.cfg.Clock.Now(), Kind: metrics.ExecutorRemoved,
-		Exec: id, ExecKind: e.Kind.String(), Stage: -1, Task: -1, Note: reason,
-	})
+	c.Emit(eventlog.Event{Type: eventlog.ExecutorRemove, Exec: id, Kind: e.Kind.String(),
+		Stage: -1, Task: -1, Note: reason})
 	c.insts.execLive[kindIdx(e.Kind)].Dec()
 	if !e.DrainingAt.IsZero() {
 		c.insts.execDrain[kindIdx(e.Kind)].ObserveDuration(e.RemovedAt.Sub(e.DrainingAt))
@@ -347,10 +340,8 @@ func (c *Cluster) DrainExecutor(id string) {
 	if prev == ExecDraining {
 		return
 	}
-	c.cfg.Log.Add(metrics.Event{
-		At: c.cfg.Clock.Now(), Kind: metrics.ExecutorDraining,
-		Exec: id, ExecKind: e.Kind.String(), Stage: -1, Task: -1,
-	})
+	c.Emit(eventlog.Event{Type: eventlog.ExecutorDrain, Exec: id, Kind: e.Kind.String(),
+		Stage: -1, Task: -1})
 	e.DrainingAt = c.cfg.Clock.Now()
 	if prev == ExecBusy {
 		e.State = ExecDraining
@@ -386,9 +377,7 @@ func (c *Cluster) RunJob(target *rdd.RDD, name string) (*Job, error) {
 		results:           make([][]rdd.Row, target.Parts),
 	}
 	c.job = job
-	c.cfg.Log.Add(metrics.Event{
-		At: c.cfg.Clock.Now(), Kind: metrics.JobStart, Stage: -1, Task: -1, Note: name,
-	})
+	c.Emit(eventlog.Event{Type: eventlog.JobStart, Stage: -1, Task: -1, Note: name})
 	for sid, st := range job.mapStageByShuffle {
 		c.tracker.Register(sid, st.Target.Parts, st.Wide.Parts)
 	}
@@ -411,9 +400,7 @@ func (c *Cluster) RunJob(target *rdd.RDD, name string) (*Job, error) {
 		job.err = fmt.Errorf("%w: %q after %v (pending tasks=%d, live executors=%d)",
 			ErrStalled, name, c.cfg.MaxSimTime, c.sched.pendingCount(), len(c.Executors()))
 	}
-	c.cfg.Log.Add(metrics.Event{
-		At: c.cfg.Clock.Now(), Kind: metrics.JobEnd, Stage: -1, Task: -1, Note: name,
-	})
+	c.Emit(eventlog.Event{Type: eventlog.JobEnd, Stage: -1, Task: -1, Note: name})
 	c.cfg.Backend.JobFinished()
 	c.alloc.onJobEnd()
 	return job, job.err

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"splitserve/internal/cloud"
+	"splitserve/internal/eventlog"
 	"splitserve/internal/metrics"
 	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
@@ -59,6 +60,7 @@ func newHarness(t *testing.T, execs int, opts ...harnessOpt) *harness {
 		Net:      net,
 		Provider: provider,
 		Store:    store,
+		Events:   eventlog.NewBus(simclock.Epoch),
 		Alloc:    DefaultAllocConfig(AllocStatic, execs, execs),
 	}
 	scfg := StandaloneConfig{VMs: []*cloud.VM{vm}}
@@ -75,6 +77,22 @@ func newHarness(t *testing.T, execs int, opts ...harnessOpt) *harness {
 		clock: clock, net: net, provider: provider, store: store,
 		cluster: cluster, backend: backend, ctx: rdd.NewContext(),
 	}
+}
+
+// count returns how many events of type typ the cluster recorded.
+func count(c *Cluster, typ eventlog.Type) int {
+	n := 0
+	for _, e := range c.Events().Events() {
+		if e.Type == typ && e.App == c.AppID() {
+			n++
+		}
+	}
+	return n
+}
+
+// taskSpans projects the cluster's task spans from its event stream.
+func taskSpans(c *Cluster) []metrics.Span {
+	return metrics.TaskSpans(c.Events().Events(), c.AppID())
 }
 
 // ints produces n rows 0..n-1 split across parts partitions.
@@ -187,14 +205,13 @@ func TestStageCountAndEvents(t *testing.T) {
 	if len(job.Stages) != 2 {
 		t.Fatalf("stages = %d, want 2", len(job.Stages))
 	}
-	log := h.cluster.Log()
-	if got := len(log.ByKind(metrics.StageStart)); got != 2 {
+	if got := count(h.cluster, eventlog.StageStart); got != 2 {
 		t.Fatalf("stage starts = %d", got)
 	}
-	if got := len(log.ByKind(metrics.StageEnd)); got != 2 {
+	if got := count(h.cluster, eventlog.StageEnd); got != 2 {
 		t.Fatalf("stage ends = %d", got)
 	}
-	spans := log.TaskSpans()
+	spans := taskSpans(h.cluster)
 	if len(spans) != 4 { // 2 map + 2 reduce
 		t.Fatalf("task spans = %d", len(spans))
 	}
@@ -280,13 +297,13 @@ func TestShuffleReuseAcrossJobs(t *testing.T) {
 	if _, err := h.cluster.RunJob(red, "first"); err != nil {
 		t.Fatal(err)
 	}
-	spansBefore := len(h.cluster.Log().TaskSpans())
+	spansBefore := len(taskSpans(h.cluster))
 	// Second job over the same shuffled dataset: map stage must be skipped.
 	out := red.Map("ident", func(r rdd.Row) rdd.Row { return r }, 1, 16)
 	if _, err := h.cluster.RunJob(out, "second"); err != nil {
 		t.Fatal(err)
 	}
-	spansAfter := len(h.cluster.Log().TaskSpans())
+	spansAfter := len(taskSpans(h.cluster))
 	// Second job should only run its 4 result tasks, not the 4 map tasks.
 	if spansAfter-spansBefore != 4 {
 		t.Fatalf("second job ran %d tasks, want 4 (shuffle reuse)", spansAfter-spansBefore)
@@ -347,7 +364,7 @@ func TestHostLossTriggersStageResubmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.cluster.Log().ByKind(metrics.StageResubmitted)) == 0 {
+	if count(h.cluster, eventlog.StageResubmitted) == 0 {
 		// The stage may be directly resubmitted at submit time (tracker
 		// already incomplete) rather than via fetch failure; both are fine
 		// as long as results are correct.
@@ -385,7 +402,7 @@ func TestAutoscaleRequestsVMs(t *testing.T) {
 	if _, err := h.cluster.RunJob(m, "autoscale"); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.cluster.Log().ByKind(metrics.VMRequested)) == 0 {
+	if count(h.cluster, eventlog.VMRequest) == 0 {
 		t.Fatal("autoscale never requested a VM")
 	}
 	if len(h.provider.VMs()) < 2 {
@@ -437,7 +454,7 @@ func TestDrainExecutorFinishesCurrentTask(t *testing.T) {
 		t.Fatalf("rows = %d", len(job.Rows()))
 	}
 	// No task should have failed: draining is graceful.
-	if got := len(h.cluster.Log().ByKind(metrics.TaskFailed)); got != 0 {
+	if got := count(h.cluster, eventlog.TaskFailed); got != 0 {
 		t.Fatalf("graceful drain failed %d tasks", got)
 	}
 }
@@ -540,11 +557,11 @@ func TestLocalityPrefersCacheOwner(t *testing.T) {
 	if len(owners) != 4 {
 		t.Fatalf("cache owners = %v", owners)
 	}
-	before := len(h.cluster.Log().TaskSpans())
+	before := len(taskSpans(h.cluster))
 	if _, err := h.cluster.RunJob(count, "reuse"); err != nil {
 		t.Fatal(err)
 	}
-	spans := h.cluster.Log().TaskSpans()[before:]
+	spans := taskSpans(h.cluster)[before:]
 	for _, s := range spans {
 		if owners[s.Task] != s.Exec {
 			t.Fatalf("task %d ran on %s, cache owner %s", s.Task, s.Exec, owners[s.Task])
@@ -559,7 +576,7 @@ func TestTimelineRenders(t *testing.T) {
 	if _, err := h.cluster.RunJob(m, "tl"); err != nil {
 		t.Fatal(err)
 	}
-	out := h.cluster.Log().RenderTimeline(60)
+	out := metrics.RenderTimeline(h.cluster.Events().Events(), h.cluster.AppID(), 60)
 	if len(out) == 0 || out == "(no task activity)\n" {
 		t.Fatalf("timeline empty:\n%s", out)
 	}

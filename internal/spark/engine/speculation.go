@@ -3,7 +3,7 @@ package engine
 import (
 	"time"
 
-	"splitserve/internal/metrics"
+	"splitserve/internal/eventlog"
 )
 
 // Speculative execution (spark.speculation): once a configurable fraction
@@ -85,10 +85,7 @@ func (s *scheduler) maybeSpeculate(st *Stage, job *Job) {
 				speculative: true, twin: t,
 			}
 			t.twin = copyTask
-			s.c.cfg.Log.Add(metrics.Event{
-				At: now, Kind: metrics.TaskSpeculated,
-				Exec: e.ID, ExecKind: e.Kind.String(), Stage: st.ID, Task: t.Part,
-			})
+			s.taskEvent(eventlog.TaskSpeculated, e, t, "")
 			s.c.insts.tasksSpeculated.Inc()
 			s.enqueue(copyTask)
 		}

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"splitserve/internal/cloud"
-	"splitserve/internal/metrics"
+	"splitserve/internal/eventlog"
 	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
 	"splitserve/internal/simrand"
@@ -39,6 +39,7 @@ func speculationHarness(t *testing.T, n int, speculation bool) (*Cluster, *simcl
 	spec.Quantile = 0.5
 	cluster, err := New(Config{
 		AppID: "spec-test", Clock: clock, Net: net, Provider: provider,
+		Events:      eventlog.NewBus(simclock.Epoch),
 		Store:       storage.NewLocal(clock, net),
 		Backend:     backend,
 		Alloc:       DefaultAllocConfig(AllocStatic, n+1, n+1),
@@ -84,7 +85,7 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 		if len(job.Rows()) != 1000 {
 			t.Fatalf("rows = %d", len(job.Rows()))
 		}
-		return clock.Since(simclock.Epoch), len(cluster.Log().ByKind(metrics.TaskSpeculated))
+		return clock.Since(simclock.Epoch), count(cluster, eventlog.TaskSpeculated)
 	}
 	slow, specEvents0 := run(false)
 	fast, specEvents1 := run(true)

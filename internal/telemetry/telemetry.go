@@ -82,9 +82,14 @@ type Hub struct {
 	tr  *Tracer
 }
 
-// New returns a Hub whose tracer reads time from clock.
+// New returns a Hub whose tracer reads time from clock. A nil clock gives
+// a metrics-only hub: its tracer is nil, so spans and marks are dropped.
 func New(clock Clock) *Hub {
-	return &Hub{reg: NewRegistry(), tr: NewTracer(clock)}
+	h := &Hub{reg: NewRegistry()}
+	if clock != nil {
+		h.tr = NewTracer(clock)
+	}
+	return h
 }
 
 // Registry returns the metrics registry (nil on a nil hub).

@@ -10,8 +10,10 @@ package tracereplay
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -84,10 +86,16 @@ func Parse(r io.Reader) (*Trace, error) {
 		if tenant == "" {
 			return nil, fmt.Errorf("line %d: empty tenant", line)
 		}
-		if aerr != nil || arrival < 0 {
+		if aerr != nil {
+			return nil, fmt.Errorf("line %d: bad arrival %q: %w", line, strings.TrimSpace(fields[1]), aerr)
+		}
+		if arrival < 0 {
 			return nil, fmt.Errorf("line %d: bad arrival %q", line, strings.TrimSpace(fields[1]))
 		}
-		if rerr != nil || runtime <= 0 {
+		if rerr != nil {
+			return nil, fmt.Errorf("line %d: bad runtime %q: %w", line, strings.TrimSpace(fields[2]), rerr)
+		}
+		if runtime <= 0 {
 			return nil, fmt.Errorf("line %d: bad runtime %q", line, strings.TrimSpace(fields[2]))
 		}
 		cores, err := strconv.Atoi(strings.TrimSpace(fields[3]))
@@ -113,13 +121,23 @@ func Parse(r io.Reader) (*Trace, error) {
 }
 
 // parseDur accepts a Go duration ("1m30s") or a bare number of seconds
-// ("90.5").
+// ("90.5"). A number of seconds must be finite and fit a time.Duration:
+// converting an out-of-range float to an integer is left to the
+// implementation by the Go spec, so it is rejected before converting.
 func parseDur(s string) (time.Duration, error) {
 	s = strings.TrimSpace(s)
-	if secs, err := strconv.ParseFloat(s, 64); err == nil {
-		return time.Duration(secs * float64(time.Second)), nil
+	secs, err := strconv.ParseFloat(s, 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
+		return time.ParseDuration(s)
 	}
-	return time.ParseDuration(s)
+	ns := secs * float64(time.Second)
+	switch {
+	case math.IsNaN(ns):
+		return 0, fmt.Errorf("%s is not a number of seconds", s)
+	case ns >= float64(math.MaxInt64) || ns < float64(math.MinInt64):
+		return 0, fmt.Errorf("%s seconds is out of range for a duration", s)
+	}
+	return time.Duration(ns), nil
 }
 
 func looksLikeHeader(fields []string) bool {

@@ -47,6 +47,14 @@ func TestParseShapes(t *testing.T) {
 		{"t00,-1,2,2\n", "bad arrival"},
 		{"t00,1,0,2\n", "bad runtime"},
 		{"t00,1,2,0\n", "bad cores"},
+		// Out-of-range seconds are rejected by value, not by what the
+		// float-to-integer conversion happens to yield on one platform.
+		{"t00,NaN,2,2\n", `bad arrival "NaN": NaN is not a number of seconds`},
+		{"t00,1,Inf,2\n", `bad runtime "Inf": Inf seconds is out of range`},
+		{"t00,-Inf,2,2\n", `bad arrival "-Inf": -Inf seconds is out of range`},
+		{"t00,1e300,2,2\n", `bad arrival "1e300": 1e300 seconds is out of range`},
+		{"t00,1,9.3e9,2\n", `bad runtime "9.3e9": 9.3e9 seconds is out of range`},
+		{"t00,1e400,2,2\n", `bad arrival "1e400": 1e400 seconds is out of range`},
 		{"tenant,arrival,runtime,cores\n", "empty trace"},
 		{"", "empty trace"},
 	} {

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"splitserve/internal/cloud"
+	"splitserve/internal/eventlog"
+	"splitserve/internal/metrics"
 	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
 	"splitserve/internal/simrand"
@@ -20,7 +22,8 @@ func testCluster(t *testing.T, execs, execMemMB int) (*engine.Cluster, *simclock
 	vm := provider.ProvisionReadyVM(cloud.M44XLarge)
 	cluster, err := engine.New(engine.Config{
 		AppID: "km-test", Clock: clock, Net: net, Provider: provider,
-		Store: storage.NewLocal(clock, net),
+		Store:  storage.NewLocal(clock, net),
+		Events: eventlog.NewBus(simclock.Epoch),
 		Backend: engine.NewStandalone(engine.StandaloneConfig{
 			VMs:          []*cloud.VM{vm},
 			ExecMemoryMB: execMemMB,
@@ -72,13 +75,13 @@ func TestKMeansIterationsReuseCache(t *testing.T) {
 	_ = start
 	// With the source cached, later iterations must be much cheaper than
 	// the first: check that > 35% of total time is the first job.
-	spans := cluster.Log().StageSpans()
+	spans := metrics.StageSpans(cluster.Events().Events(), cluster.AppID())
 	if len(spans) == 0 {
 		t.Fatal("no stage spans")
 	}
 	firstEnd := spans[0].End
 	total := clock.Since(simclock.Epoch)
-	firstFrac := firstEnd.Sub(simclock.Epoch).Seconds() / total.Seconds()
+	firstFrac := firstEnd.Seconds() / total.Seconds()
 	if firstFrac < 0.3 {
 		t.Fatalf("first (cache-building) stage only %.0f%% of runtime; cache likely unused", firstFrac*100)
 	}

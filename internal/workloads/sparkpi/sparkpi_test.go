@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"splitserve/internal/cloud"
+	"splitserve/internal/eventlog"
+	"splitserve/internal/metrics"
 	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
 	"splitserve/internal/simrand"
@@ -21,6 +23,7 @@ func testCluster(t *testing.T, execs int) (*engine.Cluster, *simclock.Clock) {
 	cluster, err := engine.New(engine.Config{
 		AppID: "pi-test", Clock: clock, Net: net, Provider: provider,
 		Store:   storage.NewLocal(clock, net),
+		Events:  eventlog.NewBus(simclock.Epoch),
 		Backend: engine.NewStandalone(engine.StandaloneConfig{VMs: []*cloud.VM{vm}}),
 		Alloc:   engine.DefaultAllocConfig(engine.AllocStatic, execs, execs),
 	})
@@ -53,12 +56,12 @@ func TestModeledTimeMatchesDartBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := cluster.Log().TaskSpans()
+	spans := metrics.TaskSpans(cluster.Events().Events(), cluster.AppID())
 	if len(spans) != 64 {
 		t.Fatalf("spans = %d", len(spans))
 	}
 	for _, s := range spans {
-		d := s.End.Sub(s.Start).Seconds()
+		d := (s.End - s.Start).Seconds()
 		if d < 1.2 || d > 1.6 {
 			t.Fatalf("task duration = %.3fs, want ~1.25s (answer %s)", d, rep.Answer)
 		}

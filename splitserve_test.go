@@ -1,6 +1,10 @@
 package splitserve
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -172,5 +176,60 @@ func TestWorkDistributionReported(t *testing.T) {
 	}
 	if res.VMBusy <= 0 || res.LambdaBusy <= 0 {
 		t.Fatalf("busy time missing: vm=%v lambda=%v", res.VMBusy, res.LambdaBusy)
+	}
+}
+
+var update = flag.Bool("update", false, "regenerate the golden files under testdata")
+
+// TestReportGolden pins the telemetry reports `splitserve-sim -report
+// json` prints, spans and marks included, for the same workloads, seeds
+// and options:
+//
+//	splitserve-sim -workload pagerank -scenario hybrid-segue -segue-at 5s -lambda-timeout 5s -report json
+//	splitserve-sim -workload sparkpi -scenario qubole -report json
+//
+// The engine's spans and marks are projected from the event stream, so
+// the segue run's drain spans and segue/VM marks are covered. Regenerate
+// with
+//
+//	go test . -run ReportGolden -update
+func TestReportGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden  string
+		kind    ScenarioKind
+		w       Workload
+		segueAt time.Duration
+		opts    []Option
+	}{
+		{"sim_pagerank_hybrid-segue", ScenarioHybridSegue, PageRank(PageRankOptions{Seed: 1}),
+			5 * time.Second, []Option{WithLambdaTimeout(5 * time.Second)}},
+		{"sim_sparkpi_qubole", ScenarioQubole, SparkPi(SparkPiOptions{Seed: 1}), 45 * time.Second, nil},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			cores := tc.w.DefaultParallelism()
+			opts := append([]Option{WithSeed(1), WithSegueAt(tc.segueAt), WithCores(cores, cores/4)}, tc.opts...)
+			res, err := Run(tc.kind, tc.w, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := res.ReportJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, '\n')
+			path := filepath.Join("testdata", tc.golden+".golden.json")
+			if *update {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read golden (run with -update to regenerate): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("report drifted from %s (%d bytes, want %d)", path, len(got), len(want))
+			}
+		})
 	}
 }
