@@ -5,7 +5,14 @@
 //
 // Active flows share each pool max-min fairly: rates are assigned by
 // progressive filling (water-filling), honouring per-flow rate caps, and the
-// allocation is recomputed from scratch whenever a flow starts or finishes.
+// whole allocation is refilled whenever a flow starts or finishes. The
+// filling allocates nothing: its scratch state lives on the pools and
+// flows, and the network keeps its busy pools in a slice sorted by creation
+// ID. Each flow's completion timer is then re-armed in place, which costs
+// one clock event, rather than rebuilt around a new closure. The original
+// map-based refill is kept in reference_test.go as the differential
+// reference the fast path must match bit for bit.
+//
 // This reproduces the paper's central bandwidth story — e.g. a single
 // 750 Mbps EBS volume under a colocated master+HDFS node throttling 16
 // concurrent shuffle readers — with event-accurate completion times.
@@ -14,7 +21,7 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"splitserve/internal/simclock"
@@ -26,10 +33,16 @@ const epsilonBytes = 1e-6
 // Network owns pools and active flows and drives rate recomputation on the
 // simulation clock.
 type Network struct {
-	clock   *simclock.Clock
-	flows   []*Flow
-	seq     int
-	poolSeq int
+	clock *simclock.Clock
+	flows []*Flow
+	// active holds every pool with at least one flow, sorted by pool ID:
+	// the order progressive filling visits pools in.
+	active []*Pool
+	// unassigned counts the flows still waiting for a rate during a
+	// refill.
+	unassigned int
+	seq        int
+	poolSeq    int
 }
 
 // Pool is a shared bandwidth resource (bytes per second).
@@ -38,6 +51,11 @@ type Pool struct {
 	name     string
 	capacity float64
 	flows    []*Flow
+
+	// Progressive-filling state, meaningful only inside recompute:
+	// capacity not yet handed out, and flows not yet given a rate.
+	residual float64
+	left     int
 }
 
 // Flow is a transfer of a fixed number of bytes across a set of pools,
@@ -51,8 +69,10 @@ type Flow struct {
 	rate      float64
 	settledAt time.Time
 	timer     *simclock.Timer
+	fire      func() // completion event body, built once per flow
 	done      func()
 	finished  bool
+	assigned  bool // progressive-filling state: rate fixed this refill
 }
 
 // New returns a Network driven by clock.
@@ -101,14 +121,21 @@ func (n *Network) StartFlow(bytes float64, rateCap float64, pools []*Pool, done 
 		settledAt: n.clock.Now(),
 		done:      done,
 	}
+	f.fire = func() { n.complete(f) }
 	n.seq++
 	n.flows = append(n.flows, f)
 	for _, p := range f.pools {
 		p.flows = append(p.flows, f)
+		if len(p.flows) == 1 {
+			i, _ := slices.BinarySearchFunc(n.active, p.id, byID)
+			n.active = slices.Insert(n.active, i, p)
+		}
 	}
 	n.recompute()
 	return f
 }
+
+func byID(p *Pool, id int) int { return p.id - id }
 
 // Cancel aborts an in-progress flow (e.g. its executor died). The done
 // callback is not invoked. It reports whether the flow was still active.
@@ -139,7 +166,7 @@ func (f *Flow) Rate() float64 { return f.rate }
 func (n *Network) ActiveFlows() int { return len(n.flows) }
 
 // detach removes a flow from the network and its pools and cancels its
-// completion timer.
+// completion timer. A pool left without flows leaves the active set.
 func (n *Network) detach(f *Flow) {
 	f.finished = true
 	if f.timer != nil {
@@ -149,6 +176,11 @@ func (n *Network) detach(f *Flow) {
 	n.flows = removeFlow(n.flows, f)
 	for _, p := range f.pools {
 		p.flows = removeFlow(p.flows, f)
+		if len(p.flows) == 0 {
+			if i, ok := slices.BinarySearchFunc(n.active, p.id, byID); ok {
+				n.active = slices.Delete(n.active, i, i+1)
+			}
+		}
 	}
 }
 
@@ -179,52 +211,26 @@ func (n *Network) settleAll() {
 func (n *Network) recompute() {
 	n.settleAll()
 
-	// Progressive filling. Residual capacity per pool; unassigned flows.
-	// All iteration is over insertion-ordered slices (pools sorted by
-	// creation ID) so rate assignment and event scheduling are fully
-	// deterministic.
-	residual := make(map[*Pool]float64)
-	remainingFlows := make(map[*Pool]int)
-	var pools []*Pool
-	seenPool := make(map[*Pool]bool)
-	for _, f := range n.flows {
-		for _, p := range f.pools {
-			if !seenPool[p] {
-				seenPool[p] = true
-				pools = append(pools, p)
-			}
-		}
+	// Progressive filling. Each busy pool starts with its full capacity
+	// shared by all its flows. All iteration is over insertion-ordered
+	// slices (pools in creation-ID order) so rate assignment and event
+	// scheduling are fully deterministic.
+	for _, p := range n.active {
+		p.residual = p.capacity
+		p.left = len(p.flows)
 	}
-	sort.Slice(pools, func(i, j int) bool { return pools[i].id < pools[j].id })
-	for _, p := range pools {
-		residual[p] = p.capacity
-		remainingFlows[p] = len(p.flows)
-	}
-
-	unassigned := make(map[*Flow]struct{}, len(n.flows))
 	for _, f := range n.flows {
 		f.rate = 0
-		unassigned[f] = struct{}{}
+		f.assigned = false
 	}
+	n.unassigned = len(n.flows)
 
-	assign := func(f *Flow, rate float64) {
-		f.rate = rate
-		delete(unassigned, f)
-		for _, p := range f.pools {
-			residual[p] -= rate
-			if residual[p] < 0 {
-				residual[p] = 0
-			}
-			remainingFlows[p]--
-		}
-	}
-
-	for len(unassigned) > 0 {
+	for n.unassigned > 0 {
 		// Fair share at the tightest pool.
 		minShare := math.Inf(1)
-		for _, p := range pools {
-			if remainingFlows[p] > 0 {
-				share := residual[p] / float64(remainingFlows[p])
+		for _, p := range n.active {
+			if p.left > 0 {
+				share := p.residual / float64(p.left)
 				if share < minShare {
 					minShare = share
 				}
@@ -232,15 +238,15 @@ func (n *Network) recompute() {
 		}
 		// A flow capped below the fair share takes its cap.
 		minCap := math.Inf(1)
-		for f := range unassigned {
-			if f.rateCap > 0 && f.rateCap < minCap {
+		for _, f := range n.flows {
+			if !f.assigned && f.rateCap > 0 && f.rateCap < minCap {
 				minCap = f.rateCap
 			}
 		}
 		if minCap < minShare {
 			for _, f := range n.flows {
-				if _, ok := unassigned[f]; ok && f.rateCap > 0 && f.rateCap <= minCap {
-					assign(f, f.rateCap)
+				if !f.assigned && f.rateCap > 0 && f.rateCap <= minCap {
+					n.assign(f, f.rateCap)
 				}
 			}
 			continue
@@ -249,29 +255,29 @@ func (n *Network) recompute() {
 			// Only capless, pool-less flows remain (cannot happen given the
 			// StartFlow invariant), or caps equal infinity; guard anyway.
 			for _, f := range n.flows {
-				if _, ok := unassigned[f]; ok {
-					assign(f, math.Max(f.rateCap, 1))
+				if !f.assigned {
+					n.assign(f, math.Max(f.rateCap, 1))
 				}
 			}
 			break
 		}
 		// Assign flows bottlenecked at a pool whose share equals minShare.
 		progressed := false
-		for _, p := range pools {
-			if remainingFlows[p] == 0 {
+		for _, p := range n.active {
+			if p.left == 0 {
 				continue
 			}
-			share := residual[p] / float64(remainingFlows[p])
+			share := p.residual / float64(p.left)
 			if share <= minShare*(1+1e-12) {
 				for _, f := range p.flows {
-					if _, ok := unassigned[f]; !ok {
+					if f.assigned {
 						continue
 					}
 					rate := share
 					if f.rateCap > 0 && f.rateCap < rate {
 						rate = f.rateCap
 					}
-					assign(f, rate)
+					n.assign(f, rate)
 					progressed = true
 				}
 			}
@@ -279,8 +285,8 @@ func (n *Network) recompute() {
 		if !progressed {
 			// Defensive: should be unreachable; avoid an infinite loop.
 			for _, f := range n.flows {
-				if _, ok := unassigned[f]; ok {
-					assign(f, minShare)
+				if !f.assigned {
+					n.assign(f, minShare)
 				}
 			}
 		}
@@ -289,48 +295,87 @@ func (n *Network) recompute() {
 	n.reschedule()
 }
 
-// reschedule replaces every flow's completion timer according to its new
-// rate.
-func (n *Network) reschedule() {
-	for _, f := range n.flows {
-		if f.timer != nil {
-			f.timer.Cancel()
-			f.timer = nil
+// assign fixes f's rate for this refill and takes it out of every pool it
+// traverses.
+func (n *Network) assign(f *Flow, rate float64) {
+	f.rate = rate
+	f.assigned = true
+	n.unassigned--
+	for _, p := range f.pools {
+		p.residual -= rate
+		if p.residual < 0 {
+			p.residual = 0
 		}
-		if f.remaining <= epsilonBytes {
-			n.completeAt(f, 0)
-			continue
-		}
-		if f.rate <= 0 {
-			continue // stalled; a future recompute will revive it
-		}
-		n.completeAt(f, time.Duration(f.remaining/f.rate*float64(time.Second)))
+		p.left--
 	}
 }
 
-func (n *Network) completeAt(f *Flow, d time.Duration) {
-	f.timer = n.clock.After(d, func() {
-		if f.finished {
-			return
+// reschedule moves every flow's completion timer to match its new rate, in
+// flow order: a pending timer is re-armed (its old queue entry becomes a
+// ghost and the new one takes a fresh sequence number, exactly as a
+// cancel followed by a new schedule would), and a flow without one gets a
+// new timer. A stalled flow, or one whose completion lies beyond the
+// time.Duration range, has no timer; a future recompute will revive it.
+func (n *Network) reschedule() {
+	for _, f := range n.flows {
+		d, ok := time.Duration(0), true
+		switch {
+		case f.remaining <= epsilonBytes: // done: complete on the next tick
+		case f.rate <= 0:
+			ok = false
+		default:
+			d, ok = toDuration(f.remaining / f.rate)
 		}
-		n.settleAll()
-		f.remaining = 0
-		n.detach(f)
-		n.recompute()
-		if f.done != nil {
-			f.done()
+		if !ok {
+			f.timer.Cancel()
+			f.timer = nil
+			continue
 		}
-	})
+		if !f.timer.Reschedule(d) {
+			f.timer = n.clock.After(d, f.fire)
+		}
+	}
+}
+
+// complete is a flow's completion event: the last byte arrived.
+func (n *Network) complete(f *Flow) {
+	if f.finished {
+		return
+	}
+	n.settleAll()
+	f.remaining = 0
+	n.detach(f)
+	n.recompute()
+	if f.done != nil {
+		f.done()
+	}
+}
+
+// toDuration converts secs to a Duration, reporting false when the value is
+// NaN or outside the Duration range: Go leaves out-of-range float-to-integer
+// conversions to the implementation (amd64 yields math.MinInt64, a negative
+// delay).
+func toDuration(secs float64) (time.Duration, bool) {
+	ns := secs * float64(time.Second)
+	if !(ns >= math.MinInt64 && ns < math.MaxInt64) {
+		return 0, false
+	}
+	return time.Duration(ns), true
 }
 
 // TransferTime is a convenience estimate: the time a transfer of bytes
 // would take alone at the given bandwidth. Useful for fixed-cost phases
-// that do not contend (e.g. local memory copies).
+// that do not contend (e.g. local memory copies). It panics if the result
+// does not fit in a time.Duration (about 292 years).
 func TransferTime(bytes, bytesPerSec float64) time.Duration {
 	if bytesPerSec <= 0 {
 		panic("netsim: non-positive bandwidth")
 	}
-	return time.Duration(bytes / bytesPerSec * float64(time.Second))
+	d, ok := toDuration(bytes / bytesPerSec)
+	if !ok {
+		panic(fmt.Sprintf("netsim: transfer of %g bytes at %g B/s is beyond the time.Duration range", bytes, bytesPerSec))
+	}
+	return d
 }
 
 // Mbps converts megabits/s to bytes/s.

@@ -314,3 +314,73 @@ func TestQuickNoOversubscription(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A completion beyond the time.Duration range (1e12 s here) must not wrap
+// into a negative delay that fires at once: the flow counts as stalled.
+func TestUnreachableCompletionNeverFires(t *testing.T) {
+	c, n := newNet()
+	p := n.NewPool("slow", 1) // 1 B/s
+	finished := false
+	f := n.StartFlow(1e12, 0, []*Pool{p}, func() { finished = true })
+	c.RunFor(48 * time.Hour)
+	if finished {
+		t.Fatalf("1e12 B over a 1 B/s pool finished by %v", c.Now())
+	}
+	if got, want := n.Remaining(f), 1e12-48*3600.0; got != want {
+		t.Fatalf("Remaining = %v, want %v", got, want)
+	}
+}
+
+func TestTransferTimeOutOfRangePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected a panic for a transfer beyond the time.Duration range")
+		}
+	}()
+	TransferTime(1e12, 1)
+}
+
+// steadyNetwork builds a network of flows over pools, every flow crossing
+// two pools, with flows large enough never to finish: the shape of a wide
+// shuffle in flight.
+func steadyNetwork(flows, pools int) (*Network, []*Pool) {
+	_, n := newNet()
+	rng := simrand.New(1)
+	ps := make([]*Pool, pools)
+	for i := range ps {
+		ps[i] = n.NewPool("p", float64(1000+rng.Intn(9000)))
+	}
+	for i := 0; i < flows; i++ {
+		var cap float64
+		if i%4 == 0 {
+			cap = float64(10 + rng.Intn(200))
+		}
+		n.StartFlow(1e9, cap, []*Pool{ps[rng.Intn(pools)], ps[rng.Intn(pools)]}, nil)
+	}
+	return n, ps
+}
+
+// A refill allocates nothing: a StartFlow+Cancel pair costs a few
+// allocations for the new flow plus one clock event per re-armed timer
+// (every live flow, twice), not per-refill maps.
+func TestStartCancelAllocations(t *testing.T) {
+	const flows = 300
+	n, ps := steadyNetwork(flows, 200)
+	pair := []*Pool{ps[3], ps[150]}
+	allocs := testing.AllocsPerRun(50, func() {
+		n.Cancel(n.StartFlow(1e9, 0, pair, nil))
+	})
+	if limit := float64(2*flows + 8); allocs > limit {
+		t.Fatalf("StartFlow+Cancel allocated %v times, want at most %v", allocs, limit)
+	}
+}
+
+func BenchmarkRecompute(b *testing.B) {
+	n, ps := steadyNetwork(300, 200)
+	pair := []*Pool{ps[3], ps[150]}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Cancel(n.StartFlow(1e9, 0, pair, nil))
+	}
+}

@@ -150,6 +150,12 @@ func (c *Clock) At(t time.Time, fn func()) *Timer {
 	if fn == nil {
 		panic("simclock: nil event func")
 	}
+	return &Timer{ev: c.schedule(t, fn)}
+}
+
+// schedule queues fn at t, clamped to the current time, under the next
+// sequence number.
+func (c *Clock) schedule(t time.Time, fn func()) *event {
 	if t.Before(c.now) {
 		t = c.now
 	}
@@ -159,7 +165,7 @@ func (c *Clock) At(t time.Time, fn func()) *Timer {
 	if n := c.queue.len(); n > c.highWater {
 		c.highWater = n
 	}
-	return &Timer{ev: ev}
+	return ev
 }
 
 // Cancel removes the event from the queue if it has not fired yet. It
@@ -180,7 +186,8 @@ func (t *Timer) Cancel() bool {
 // moved timer re-enters scheduling order: against other events at its new
 // instant it fires as if it had just been scheduled. The abandoned entry
 // becomes a ghost, lazily discarded exactly like a cancellation (but not
-// counted in Cancelled).
+// counted in Cancelled). Only the new queue entry is allocated; the Timer
+// handle is reused.
 func (t *Timer) Reschedule(d time.Duration) bool {
 	if t == nil || t.ev == nil || t.ev.index < 0 {
 		return false
@@ -190,7 +197,7 @@ func (t *Timer) Reschedule(d time.Duration) bool {
 	fn := old.fn
 	old.fn = nil
 	c.ghosts++
-	t.ev = c.After(d, fn).ev
+	t.ev = c.schedule(c.now.Add(d), fn) // a negative d clamps to now
 	c.maybeCompact()
 	return true
 }
