@@ -25,6 +25,8 @@ fuzz:
 	$(GO) test ./internal/costmgr -run '^$$' -fuzz FuzzLoadProfiles -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cliutil -run '^$$' -fuzz FuzzValidateReport -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzReadJSONL -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzOutputEncoders -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/attrib -run '^$$' -fuzz FuzzParseReport -fuzztime $(FUZZTIME)
 
 # check is the full pre-commit gate: static analysis, the whole test suite
 # under the race detector (twice, to shake out ordering dependence), a

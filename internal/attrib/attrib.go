@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"splitserve/internal/billing"
@@ -152,8 +153,8 @@ func (j *JobAttribution) BlameSumUS() int64 {
 }
 
 // Table aggregates blame across a set of jobs (per tenant, backend,
-// workload, or the whole run). Map keys are cause names so encoding/json
-// sorts them deterministically.
+// workload, or the whole run). Map keys are cause names, written in
+// sorted order.
 type Table struct {
 	Jobs       int                `json:"jobs"`
 	MakespanUS int64              `json:"makespan_us"`
@@ -225,15 +226,174 @@ type Report struct {
 }
 
 // JSON renders the report as indented, key-sorted JSON with a trailing
-// newline. Same-seed runs produce byte-identical output.
+// newline: the bytes encoding/json's Encoder with a two-space indent
+// gives the Report, written without reflection. A NaN or infinite cost
+// is an error. Same-seed runs produce byte-identical output.
 func (r *Report) JSON() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
+	if r == nil {
+		return []byte("null\n"), nil
+	}
+	w := reportWriter{JSONWriter: eventlog.NewJSONWriter("  ", make([]byte, 0, 2048*len(r.Jobs)+4096))}
+	w.Open('{')
+	w.Key("schema")
+	w.String(r.Schema)
+	w.Key("jobs")
+	if r.Jobs == nil {
+		w.Raw("null")
+	} else {
+		w.Open('[')
+		for i := range r.Jobs {
+			w.Elem()
+			w.job(&r.Jobs[i])
+		}
+		w.Close(']')
+	}
+	w.Key("totals")
+	w.table(r.Totals)
+	for _, g := range []struct {
+		key    string
+		tables map[string]*Table
+	}{{"by_tenant", r.ByTenant}, {"by_backend", r.ByBackend}, {"by_workload", r.ByWorkload}} {
+		if len(g.tables) == 0 {
+			continue
+		}
+		w.Key(g.key)
+		w.Open('{')
+		for _, k := range sortedKeys(g.tables) {
+			w.Key(k)
+			w.table(g.tables[k])
+		}
+		w.Close('}')
+	}
+	w.Close('}')
+	if err := w.Err(); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return append(w.Buf, '\n'), nil
+}
+
+// reportWriter writes the report's parts; keys is scratch for sorting map
+// keys.
+type reportWriter struct {
+	*eventlog.JSONWriter
+	keys []string
+}
+
+func (w *reportWriter) job(j *JobAttribution) {
+	w.Open('{')
+	w.Key("app")
+	w.String(j.App)
+	if j.Name != "" {
+		w.Key("name")
+		w.String(j.Name)
+	}
+	if j.Tenant != "" {
+		w.Key("tenant")
+		w.String(j.Tenant)
+	}
+	w.Key("arrival_us")
+	w.Int(j.ArrivalUS)
+	w.Key("end_us")
+	w.Int(j.EndUS)
+	w.Key("makespan_us")
+	w.Int(j.MakespanUS)
+	if j.Failed {
+		w.Key("failed")
+		w.Raw("true")
+	}
+	w.Key("blame_us")
+	writeMap(w, j.BlameUS, w.Int)
+	if len(j.SavedUS) > 0 {
+		w.Key("saved_us")
+		writeMap(w, j.SavedUS, w.Int)
+	}
+	if len(j.CostUSD) > 0 {
+		w.Key("cost_usd")
+		writeMap(w, j.CostUSD, w.Float)
+	}
+	w.Key("path")
+	if j.Path == nil {
+		w.Raw("null")
+	} else {
+		w.Open('[')
+		for i := range j.Path {
+			w.Elem()
+			w.segment(&j.Path[i])
+		}
+		w.Close(']')
+	}
+	w.Close('}')
+}
+
+func (w *reportWriter) segment(s *Segment) {
+	w.Open('{')
+	w.Key("cause")
+	w.String(string(s.Cause))
+	w.Key("start_us")
+	w.Int(s.StartUS)
+	w.Key("end_us")
+	w.Int(s.EndUS)
+	w.Key("stage")
+	w.Int(int64(s.Stage))
+	w.Key("task")
+	w.Int(int64(s.Task))
+	if s.Exec != "" {
+		w.Key("exec")
+		w.String(s.Exec)
+	}
+	if s.Kind != "" {
+		w.Key("kind")
+		w.String(s.Kind)
+	}
+	if s.Detail != "" {
+		w.Key("detail")
+		w.String(s.Detail)
+	}
+	w.Close('}')
+}
+
+func (w *reportWriter) table(t *Table) {
+	if t == nil {
+		w.Raw("null")
+		return
+	}
+	w.Open('{')
+	w.Key("jobs")
+	w.Int(int64(t.Jobs))
+	w.Key("makespan_us")
+	w.Int(t.MakespanUS)
+	w.Key("blame_us")
+	writeMap(w, t.BlameUS, w.Int)
+	if len(t.SavedUS) > 0 {
+		w.Key("saved_us")
+		writeMap(w, t.SavedUS, w.Int)
+	}
+	if len(t.CostUSD) > 0 {
+		w.Key("cost_usd")
+		writeMap(w, t.CostUSD, w.Float)
+	}
+	w.Close('}')
+}
+
+// writeMap writes m as an object with its keys sorted, or null for a nil
+// map.
+func writeMap[K ~string, V any](w *reportWriter, m map[K]V, value func(V)) {
+	if m == nil {
+		w.Raw("null")
+		return
+	}
+	keys := w.keys[:0]
+	for k := range m {
+		keys = append(keys, string(k))
+	}
+	slices.Sort(keys)
+	w.Open('{')
+	for _, k := range keys {
+		w.Key(k)
+		value(m[K(k)])
+	}
+	w.Close('}')
+	w.keys = keys
 }
 
 // ParseReport loads a report written by JSON, rejecting other schemas.

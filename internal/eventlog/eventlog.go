@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -148,7 +149,7 @@ func AllTypes() []Type {
 // origin in microseconds; Stage and Task use -1 for "not applicable" so
 // stage 0 / task 0 stay representable. All other fields are optional and
 // omitted when empty, keeping lines compact. Field order is fixed by the
-// struct, so encoding/json yields a stable byte layout.
+// struct, and WriteJSONL writes the bytes encoding/json would.
 type Event struct {
 	TS    int64  `json:"ts_us"`
 	Type  Type   `json:"type"`
@@ -270,22 +271,57 @@ func (b *Bus) JSONL() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// WriteJSONL serialises events one per line.
+// WriteJSONL serialises events one per line, in the bytes json.Marshal
+// gives an Event, through one reused line buffer.
 func WriteJSONL(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
-	for _, e := range events {
-		line, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
+	var line []byte
+	for i := range events {
+		line = appendEventJSON(line[:0], &events[i])
+		line = append(line, '\n')
 		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// appendEventJSON appends e as one compact JSON object: the Event fields
+// in struct order, with their omitempty rules.
+func appendEventJSON(dst []byte, e *Event) []byte {
+	dst = append(dst, `{"ts_us":`...)
+	dst = strconv.AppendInt(dst, e.TS, 10)
+	dst = append(dst, `,"type":`...)
+	dst = appendJSONString(dst, e.Type)
+	if e.App != "" {
+		dst = append(dst, `,"app":`...)
+		dst = appendJSONString(dst, e.App)
+	}
+	if e.Exec != "" {
+		dst = append(dst, `,"exec":`...)
+		dst = appendJSONString(dst, e.Exec)
+	}
+	if e.Kind != "" {
+		dst = append(dst, `,"kind":`...)
+		dst = appendJSONString(dst, e.Kind)
+	}
+	dst = append(dst, `,"stage":`...)
+	dst = strconv.AppendInt(dst, int64(e.Stage), 10)
+	dst = append(dst, `,"task":`...)
+	dst = strconv.AppendInt(dst, int64(e.Task), 10)
+	if e.Cores != 0 {
+		dst = append(dst, `,"cores":`...)
+		dst = strconv.AppendInt(dst, int64(e.Cores), 10)
+	}
+	if e.Bytes != 0 {
+		dst = append(dst, `,"bytes":`...)
+		dst = strconv.AppendInt(dst, e.Bytes, 10)
+	}
+	if e.Note != "" {
+		dst = append(dst, `,"note":`...)
+		dst = appendJSONString(dst, e.Note)
+	}
+	return append(dst, '}')
 }
 
 // ReadJSONL parses a saved event log back into events, preserving order.

@@ -45,9 +45,12 @@ import (
 // so the ghost/high-water/compaction counters behave identically between
 // the two implementations — the property the differential tests pin.
 type wheelQueue struct {
-	cursor   int64 // latest tick whose events have been moved to ready
-	ready    eventHeap
-	slots    [wheelLevels][slotsPerLevel][]*event
+	cursor int64 // latest tick whose events have been moved to ready
+	ready  eventHeap
+	// slots[l] is allocated when level l first holds an event: a clock
+	// that only ever schedules near-term events never pays for the
+	// coarse levels' slot arrays.
+	slots    [wheelLevels]*[slotsPerLevel][]*event
 	occ      [wheelLevels][slotsPerLevel / 64]uint64
 	overflow eventHeap
 	n        int
@@ -82,6 +85,9 @@ func (q *wheelQueue) place(ev *event) {
 		if t>>(levelBits*(l+1)) == q.cursor>>(levelBits*(l+1)) {
 			s := (t >> (levelBits * l)) & slotMask
 			ev.index = 0 // parked: non-negative means "still queued"
+			if q.slots[l] == nil {
+				q.slots[l] = new([slotsPerLevel][]*event)
+			}
 			q.slots[l][s] = append(q.slots[l][s], ev)
 			q.occ[l][s>>6] |= 1 << uint(s&63)
 			return
@@ -196,9 +202,12 @@ func (q *wheelQueue) refill() {
 // compact removes every ghost entry from ready, the slots, and overflow.
 func (q *wheelQueue) compact() int {
 	removed := compactHeap(&q.ready) + compactHeap(&q.overflow)
-	for l := range q.slots {
-		for s := range q.slots[l] {
-			evs := q.slots[l][s]
+	for l, level := range q.slots {
+		if level == nil {
+			continue
+		}
+		for s := range level {
+			evs := level[s]
 			if len(evs) == 0 {
 				continue
 			}
@@ -214,7 +223,7 @@ func (q *wheelQueue) compact() int {
 			for i := len(kept); i < len(evs); i++ {
 				evs[i] = nil
 			}
-			q.slots[l][s] = kept
+			level[s] = kept
 			if len(kept) == 0 {
 				q.occ[l][s>>6] &^= 1 << uint(s&63)
 			}

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -43,6 +44,65 @@ func TestWheelBoundaries(t *testing.T) {
 	if got, want := c.Since(Epoch), delays[len(delays)-1]; got != want {
 		t.Fatalf("final Now offset = %v, want %v", got, want)
 	}
+}
+
+// TestWheelLevelsAllocatedOnUse: a fresh clock holds no slot arrays, and
+// each level's array appears only when an event is first placed in that
+// level. Events due at or before the cursor (ready) and beyond the
+// horizon (overflow) allocate none.
+func TestWheelLevelsAllocatedOnUse(t *testing.T) {
+	c := New(Epoch)
+	q := c.queue.(*wheelQueue)
+	allocated := func() (got [wheelLevels]bool) {
+		for l, level := range q.slots {
+			got[l] = level != nil
+		}
+		return got
+	}
+	if got := allocated(); got != [wheelLevels]bool{} {
+		t.Fatalf("fresh clock has slot arrays %v, want none", got)
+	}
+	c.After(0, func() {})
+	c.After((1<<32+7)*tick, func() {})
+	if got := allocated(); got != [wheelLevels]bool{} {
+		t.Fatalf("ready and overflow events allocated slot arrays %v", got)
+	}
+	steps := []struct {
+		delay time.Duration
+		want  [wheelLevels]bool
+	}{
+		{3 * tick, [wheelLevels]bool{true}},
+		{70000 * tick, [wheelLevels]bool{true, false, true}},
+		{300 * tick, [wheelLevels]bool{true, true, true}},
+		{(1 << 30) * tick, [wheelLevels]bool{true, true, true, true}},
+	}
+	for _, st := range steps {
+		c.After(st.delay, func() {})
+		if got := allocated(); got != st.want {
+			t.Fatalf("after an event at %d ticks: levels allocated %v, want %v", st.delay/tick, got, st.want)
+		}
+	}
+	c.Run()
+	if c.Fired() != 6 {
+		t.Fatalf("fired %d events, want 6", c.Fired())
+	}
+
+	// Before, every clock zeroed all four levels' arrays (4 × 6 KiB); a
+	// clock with one near-term event now pays for level 0 only.
+	const clocks = 100
+	keep := make([]*Clock, 0, clocks)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range clocks {
+		c := New(Epoch)
+		c.After(tick, func() {})
+		keep = append(keep, c)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / clocks; per > 2*slotsPerLevel*24 {
+		t.Errorf("a clock with one near-term event allocates %d bytes, want at most %d", per, 2*slotsPerLevel*24)
+	}
+	runtime.KeepAlive(keep)
 }
 
 // TestWheelFIFOAcrossCascade verifies that two events at the same instant

@@ -286,6 +286,7 @@ func Generate(cfg GenConfig) (*Trace, error) {
 	}
 	rng := simrand.New(cfg.Seed ^ 0x7ace)
 	tr := &Trace{Rows: make([]Row, 0, cfg.Jobs)}
+	names := map[int]string{} // tenant names, formatted once per call
 	at := time.Duration(0)
 	for i := 0; i < cfg.Jobs; i++ {
 		at += time.Duration(rng.Exp(1/cfg.MeanGap.Seconds()) * float64(time.Second))
@@ -297,8 +298,14 @@ func Generate(cfg GenConfig) (*Trace, error) {
 		if rng.Float64() < 0.3 {
 			cores = 4
 		}
+		tenant := rng.Zipf(1.1, cfg.Tenants) - 1
+		name, ok := names[tenant]
+		if !ok {
+			name = fmt.Sprintf("t%02d", tenant)
+			names[tenant] = name
+		}
 		tr.Rows = append(tr.Rows, Row{
-			Tenant:  fmt.Sprintf("t%02d", rng.Zipf(1.1, cfg.Tenants)-1),
+			Tenant:  name,
 			Arrival: at.Round(time.Millisecond),
 			Runtime: runtime.Round(10 * time.Millisecond),
 			Cores:   cores,
@@ -311,9 +318,35 @@ func Generate(cfg GenConfig) (*Trace, error) {
 // header row, durations in seconds (the published-trace convention).
 func WriteCSV(w io.Writer, tr *Trace) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, Header)
+	bw.WriteString(Header + "\n")
+	var line []byte
 	for _, row := range tr.Rows {
-		fmt.Fprintf(bw, "%s,%.3f,%.3f,%d\n", row.Tenant, row.Arrival.Seconds(), row.Runtime.Seconds(), row.Cores)
+		line = append(line[:0], row.Tenant...)
+		line = append(line, ',')
+		line = appendSeconds(line, row.Arrival)
+		line = append(line, ',')
+		line = appendSeconds(line, row.Runtime)
+		line = append(line, ',')
+		line = strconv.AppendInt(line, int64(row.Cores), 10)
+		line = append(line, '\n')
+		bw.Write(line)
 	}
 	return bw.Flush()
+}
+
+// appendSeconds appends d in seconds with three decimals, the bytes fmt's
+// %.3f gives d.Seconds(). A whole number of milliseconds is written from
+// integers; anything finer goes through strconv.
+func appendSeconds(dst []byte, d time.Duration) []byte {
+	if d%time.Millisecond != 0 {
+		return strconv.AppendFloat(dst, d.Seconds(), 'f', 3, 64)
+	}
+	ms := int64(d / time.Millisecond)
+	if ms < 0 {
+		dst = append(dst, '-')
+		ms = -ms
+	}
+	dst = strconv.AppendInt(dst, ms/1000, 10)
+	frac := ms % 1000
+	return append(dst, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }

@@ -1,7 +1,11 @@
 package tracereplay
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
@@ -127,6 +131,52 @@ func TestGenerateDeterministicAndFixtureFresh(t *testing.T) {
 	}
 	if len(parsed.Warnings) != 1 || !strings.Contains(parsed.Warnings[0], "header") {
 		t.Errorf("fixture warnings = %q, want only the header skip", parsed.Warnings)
+	}
+}
+
+// TestWriteCSVMatchesFmt holds WriteCSV to the fmt-based writer it
+// replaced, over random durations: whole and fractional milliseconds,
+// sub-millisecond, negative, and out to the ends of the Duration range.
+func TestWriteCSVMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	durs := []time.Duration{0, 1, -1, 499_999, 500_000, -500_000, time.Millisecond, -time.Millisecond,
+		999 * time.Millisecond, -999 * time.Millisecond, time.Second, math.MaxInt64, math.MinInt64,
+		math.MaxInt64 / time.Millisecond * time.Millisecond, math.MinInt64 / time.Millisecond * time.Millisecond}
+	for i := 0; i < 20000; i++ {
+		scale := time.Duration(1) << rng.Intn(63)
+		d := time.Duration(rng.Int63n(int64(scale)))
+		switch i % 4 {
+		case 1:
+			d = d.Round(time.Millisecond)
+		case 2:
+			d = -d
+		case 3:
+			d = -d.Round(time.Millisecond)
+		}
+		durs = append(durs, d)
+	}
+	tr := &Trace{}
+	for i := 0; i+1 < len(durs); i++ {
+		tr.Rows = append(tr.Rows, Row{Tenant: fmt.Sprintf("t%02d", i%17), Arrival: durs[i], Runtime: durs[i+1], Cores: i%9 - 2})
+	}
+	var got, want bytes.Buffer
+	if err := WriteCSV(&got, tr); err != nil {
+		t.Fatal(err)
+	}
+	bw := bufio.NewWriter(&want)
+	fmt.Fprintln(bw, Header)
+	for _, row := range tr.Rows {
+		fmt.Fprintf(bw, "%s,%.3f,%.3f,%d\n", row.Tenant, row.Arrival.Seconds(), row.Runtime.Seconds(), row.Cores)
+	}
+	bw.Flush()
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(want.String(), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("WriteCSV wrote %d lines, fmt %d", len(gotLines), len(wantLines))
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("line %d: WriteCSV %q, fmt %q", i, gotLines[i], wantLines[i])
+		}
 	}
 }
 
