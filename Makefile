@@ -21,12 +21,14 @@ fuzz:
 	$(GO) test ./internal/simclock -run '^$$' -fuzz FuzzTimerWheel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim -run '^$$' -fuzz FuzzNetwork -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzParseArrivals -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzParseArrivalTrace -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tracereplay -run '^$$' -fuzz FuzzParseTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/costmgr -run '^$$' -fuzz FuzzLoadProfiles -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cliutil -run '^$$' -fuzz FuzzValidateReport -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzReadJSONL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzOutputEncoders -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/attrib -run '^$$' -fuzz FuzzParseReport -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/perfstat -run '^$$' -fuzz FuzzParseSnapshot -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/loadbench -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 
 # check is the full pre-commit gate: static analysis, the whole test suite
 # under the race detector (twice, to shake out ordering dependence), a
@@ -90,8 +92,10 @@ attrib:
 # shardreplay smokes the sharded control plane: replay the committed
 # production-shape trace fixture across 4 shards with -validate (the
 # per-tenant distributions must match exactly), and check the merged
-# event log carries the sharding vocabulary. CI uploads the merged
-# report and event log as artifacts.
+# event log carries the sharding vocabulary. It then runs the legacy
+# OFFSET,CORES,TENANT tracefile fixture, whose TENANT column routes it
+# across 2 shards, and checks each parser warning is printed once. CI
+# uploads the merged report and event log as artifacts.
 shardreplay:
 	mkdir -p smoke
 	$(GO) run ./cmd/splitserve-cluster \
@@ -107,6 +111,14 @@ shardreplay:
 	$(GO) run ./cmd/splitserve-history -log smoke/shard-events.jsonl \
 		-trace smoke/shard-trace.json
 	@test -s smoke/shard-trace.json && echo "shardreplay: sharded event log replayed, trace written to smoke/shard-trace.json"
+	$(GO) run ./cmd/splitserve-cluster \
+		-arrival tracefile:internal/tracereplay/testdata/legacy_small.csv \
+		-mix sparkpi -pool 8 -cores 4 -shards 2 -report json \
+		> smoke/legacy-report.json 2> smoke/legacy-stderr.txt
+	@grep -q '"schema": "splitserve-shard/v1"' smoke/legacy-report.json \
+		&& test "$$(grep -c 'skipped header' smoke/legacy-stderr.txt)" = 1 \
+		&& test "$$(grep -c 'out of order' smoke/legacy-stderr.txt)" = 1 \
+		&& echo "shardreplay: legacy tracefile replayed across 2 shards, each warning printed once"
 
 # warmsweep regenerates the warm-pool crossover table (EXPERIMENTS.md,
 # "Warm-pool Lambda with a /tmp shuffle cache tier"). CI uploads the

@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -278,18 +279,18 @@ func run() int {
 		return writePerf()
 	}
 
-	// A production-shaped trace (tenant,arrival,runtime,cores) is replayed
-	// wholesale: every row becomes a job sized to its traced runtime and
-	// demand, so -jobs/-mix/-cores do not apply.
-	if path, ok := strings.CutPrefix(*arrival, "tracefile:"); ok && tracereplay.Detect(path) {
-		tr, err := tracereplay.Load(path)
-		if err != nil {
+	// A tracefile is read once, whatever its shape. A production-shaped
+	// trace (tenant,arrival,runtime,cores) is replayed wholesale: every
+	// row becomes a job sized to its traced runtime and demand, so
+	// -jobs/-mix/-cores do not apply.
+	var tr *tracereplay.Trace
+	if path, ok := strings.CutPrefix(*arrival, "tracefile:"); ok {
+		if tr, err = readTracefile(path, os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
 			return 2
 		}
-		for _, w := range tr.Warnings {
-			fmt.Fprintln(os.Stderr, "splitserve-cluster: warning:", w)
-		}
+	}
+	if tr != nil && !tr.Legacy {
 		specs, err := tracereplay.Specs(tr, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
@@ -328,26 +329,18 @@ func run() int {
 		return 2
 	}
 
-	arrivals, err := cluster.ParseArrivals(*arrival, *jobs, *seed)
-	if err != nil {
+	// A legacy tracefile gives the arrivals, and may pin some jobs' core
+	// demand and tenant per row.
+	var arrivals []time.Duration
+	var traceRows []tracereplay.Row
+	if tr != nil {
+		traceRows = tr.Rows
+		for _, row := range traceRows {
+			arrivals = append(arrivals, row.Arrival)
+		}
+	} else if arrivals, err = cluster.ParseArrivals(*arrival, *jobs, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
 		return 2
-	}
-	// A tracefile may pin some jobs' core demand and tenant per row;
-	// pinned cores bypass both the fixed default and the cost manager.
-	var traceCores []int
-	var traceTenants []string
-	if path, ok := strings.CutPrefix(*arrival, "tracefile:"); ok {
-		tr, err := cluster.LoadArrivalTrace(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
-			return 2
-		}
-		for _, w := range tr.Warnings {
-			fmt.Fprintln(os.Stderr, "splitserve-cluster: warning:", w)
-		}
-		traceCores = tr.Cores
-		traceTenants = tr.Tenants
 	}
 
 	coreList := make([]int, len(arrivals))
@@ -391,12 +384,7 @@ func run() int {
 			coreList[i] = fixedCores
 		}
 	}
-	for i, c := range traceCores {
-		if i < len(coreList) && c > 0 {
-			coreList[i] = c
-			picks[i] = nil
-		}
-	}
+	pinCores(coreList, picks, traceRows)
 
 	specs, err := buildSpecs(mix, arrivals, coreList, picks, *seed)
 	if err != nil {
@@ -404,19 +392,7 @@ func run() int {
 		return 1
 	}
 
-	// Tenant labels: a tracefile TENANT column wins per row; otherwise
-	// -tenants N labels the stream round-robin.
-	tenanted := false
-	for i := range specs {
-		if i < len(traceTenants) && traceTenants[i] != "" {
-			specs[i].Tenant = traceTenants[i]
-		} else if *tenants > 0 {
-			specs[i].Tenant = fmt.Sprintf("t%02d", i%*tenants)
-		}
-		if specs[i].Tenant != "" {
-			tenanted = true
-		}
-	}
+	tenanted := labelTenants(specs, traceRows, *tenants)
 	if *shards > 1 && !tenanted {
 		fmt.Fprintf(os.Stderr, "splitserve-cluster: -shards %d needs tenant labels (use -tenants N or a tracefile TENANT column)\n", *shards)
 		return 2
@@ -489,6 +465,50 @@ func run() int {
 		fmt.Print(rep)
 	}
 	return writePerf()
+}
+
+// readTracefile reads a tracefile: arrival spec's file, of either shape —
+// the only read of it a run makes — and prints each of its warnings to w
+// once.
+func readTracefile(path string, w io.Writer) (*tracereplay.Trace, error) {
+	tr, err := tracereplay.Load(path)
+	if err != nil {
+		return nil, err
+	}
+	for _, warn := range tr.Warnings {
+		fmt.Fprintln(w, "splitserve-cluster: warning:", warn)
+	}
+	return tr, nil
+}
+
+// pinCores applies a legacy tracefile's per-row core pins: a pinned job
+// takes the row's demand, bypassing both the fixed default and the cost
+// manager's pick.
+func pinCores(cores []int, picks []*cluster.CostPick, rows []tracereplay.Row) {
+	for i, row := range rows {
+		if row.Cores > 0 {
+			cores[i] = row.Cores
+			picks[i] = nil
+		}
+	}
+}
+
+// labelTenants labels the job stream: a tracefile TENANT column wins per
+// row; otherwise n > 0 synthetic tenants (t00, t01, ...) label it
+// round-robin. It reports whether any job got a label.
+func labelTenants(specs []cluster.JobSpec, rows []tracereplay.Row, n int) bool {
+	tenanted := false
+	for i := range specs {
+		if i < len(rows) && rows[i].Tenant != "" {
+			specs[i].Tenant = rows[i].Tenant
+		} else if n > 0 {
+			specs[i].Tenant = fmt.Sprintf("t%02d", i%n)
+		}
+		if specs[i].Tenant != "" {
+			tenanted = true
+		}
+	}
+	return tenanted
 }
 
 // shardedArgs carries the resolved flag set into the sharded

@@ -135,11 +135,12 @@ func run() int {
 	if *serve != "" {
 		fmt.Fprintf(os.Stderr, "splitserve-history: serving %d events on http://%s/ (/, /trace, /analysis, /attrib, /log, /perf)\n",
 			len(events), strings.TrimPrefix(*serve, ":"))
-		if err := serveHistory(*serve, events, analysis, attribution, snap); err != nil {
-			fmt.Fprintln(os.Stderr, "splitserve-history:", err)
-			return 1
+		h, err := historyHandler(events, analysis, attribution, snap)
+		if err == nil {
+			err = http.ListenAndServe(*serve, h)
 		}
-		return 0
+		fmt.Fprintln(os.Stderr, "splitserve-history:", err)
+		return 1
 	}
 
 	fmt.Printf("replayed %d events spanning %s\n\n", len(events), spanOf(events))
@@ -218,14 +219,14 @@ func spanOf(events []eventlog.Event) string {
 	return fmt.Sprintf("%.2fs of virtual time", float64(max)/1e6)
 }
 
-// serveHistory exposes the replayed run over HTTP: an HTML timeline at /,
-// the Chrome trace JSON at /trace, the analytics text at /analysis, the
-// causal-attribution waterfall at /attrib, the raw log at /log, and
-// host-side self-profiling at /perf.
-func serveHistory(addr string, events []eventlog.Event, analysis *eventlog.Analysis, attribution *attrib.Report, snap *perfstat.Snapshot) error {
+// historyHandler serves the replayed run over HTTP: an HTML timeline at
+// /, the Chrome trace JSON at /trace, the analytics text at /analysis,
+// the causal-attribution waterfall at /attrib, the raw log at /log, and
+// host-side self-profiling at /perf. Pages are rendered once, up front.
+func historyHandler(events []eventlog.Event, analysis *eventlog.Analysis, attribution *attrib.Report, snap *perfstat.Snapshot) (http.Handler, error) {
 	traceJSON, err := eventlog.ChromeTrace(events)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	page := renderHTML(analysis)
 	analysisText := analysis.String()
@@ -262,7 +263,7 @@ func serveHistory(addr string, events []eventlog.Event, analysis *eventlog.Analy
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		w.Write(perfPage)
 	})
-	return http.ListenAndServe(addr, mux)
+	return mux, nil
 }
 
 // runDiff implements -diff OLD NEW: each argument is either a saved

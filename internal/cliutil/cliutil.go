@@ -4,7 +4,6 @@
 package cliutil
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"strings"
@@ -54,19 +53,26 @@ func writeOut(path string, data []byte) error {
 	}
 }
 
-// WriteEventLog writes an event stream as JSONL to path ("" = off,
+// WriteEventLog streams an event stream as JSONL to path ("" = off,
 // "-" = stdout). Commands that run several scenarios concatenate the
 // per-run streams; apps stay distinguishable through the events' App
 // field.
 func WriteEventLog(path string, events []eventlog.Event) error {
-	if path == "" {
+	switch path {
+	case "":
 		return nil
+	case "-":
+		return eventlog.WriteJSONL(os.Stdout, events)
 	}
-	var buf bytes.Buffer
-	if err := eventlog.WriteJSONL(&buf, events); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
 		return err
 	}
-	return writeOut(path, buf.Bytes())
+	if err := eventlog.WriteJSONL(f, events); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // WriteTrace renders an event stream as Chrome trace-event JSON to path

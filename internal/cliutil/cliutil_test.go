@@ -1,6 +1,8 @@
 package cliutil
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,5 +100,63 @@ func TestWriteEventLogAndTrace(t *testing.T) {
 	}
 	if err := WriteTrace("", nil); err != nil {
 		t.Errorf(`WriteTrace("", nil) = %v, want nil`, err)
+	}
+}
+
+// TestWriteEventLogDestinations: "-" and a file path both stream exactly
+// the bytes eventlog.WriteJSONL writes.
+func TestWriteEventLogDestinations(t *testing.T) {
+	origin := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	bus := eventlog.NewBus(origin)
+	for i, typ := range []eventlog.Type{eventlog.JobStart, eventlog.StageStart, eventlog.JobEnd} {
+		ev := eventlog.Ev(typ)
+		ev.App = "app-1"
+		ev.Stage = i - 1
+		ev.Note = "quote \" and <tag>"
+		bus.Emit(origin.Add(time.Duration(i)*time.Second), ev)
+	}
+	events := bus.Events()
+	var want bytes.Buffer
+	if err := eventlog.WriteJSONL(&want, events); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	if err := WriteEventLog(path, events); err != nil {
+		t.Fatalf("WriteEventLog(path): %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("file:\n%s\nwant:\n%s", got, want.Bytes())
+	}
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	read := make(chan []byte)
+	go func() {
+		data, _ := io.ReadAll(r)
+		read <- data
+	}()
+	werr := WriteEventLog("-", events)
+	os.Stdout = stdout
+	w.Close()
+	got = <-read
+	r.Close()
+	if werr != nil {
+		t.Fatalf(`WriteEventLog("-"): %v`, werr)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("stdout:\n%s\nwant:\n%s", got, want.Bytes())
+	}
+
+	if err := WriteEventLog(filepath.Join(t.TempDir(), "missing", "events.jsonl"), events); err == nil {
+		t.Error("WriteEventLog into a missing directory succeeded")
 	}
 }

@@ -1,10 +1,7 @@
 package cluster
 
 import (
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 )
@@ -37,141 +34,5 @@ func TestBurstyOverlappingBurstsSorted(t *testing.T) {
 		if !seen {
 			t.Errorf("offset %s missing from overlapping bursts: %v", d, out)
 		}
-	}
-}
-
-func TestParseArrivalTraceCSV(t *testing.T) {
-	tr, err := ParseArrivalTrace(strings.NewReader(
-		"# arrival trace\n\n30s,4\n0s\n10s, 2 \n"))
-	if err != nil {
-		t.Fatalf("ParseArrivalTrace: %v", err)
-	}
-	wantOff := []time.Duration{0, 10 * time.Second, 30 * time.Second}
-	wantCores := []int{0, 2, 4}
-	if len(tr.Offsets) != 3 {
-		t.Fatalf("got %d rows, want 3", len(tr.Offsets))
-	}
-	for i := range wantOff {
-		if tr.Offsets[i] != wantOff[i] || tr.Cores[i] != wantCores[i] {
-			t.Fatalf("row %d = (%s, %d), want (%s, %d)",
-				i, tr.Offsets[i], tr.Cores[i], wantOff[i], wantCores[i])
-		}
-	}
-
-	for _, tc := range []struct {
-		csv  string
-		line string
-	}{
-		{"5s\nbogus\n", "line 2"},
-		{"5s,-1\n", "line 1"},
-		{"5s,0\n", "line 1"},
-		{"5s,2,t0,extra\n", "line 1"},
-		{"-1s\n", "line 1"},
-		{"header\n-1s\n", "line 2"}, // header skip never hides a data error
-		{"# only comments\n\n", "empty trace"},
-		{"offset,cores,tenant\n", "empty trace"}, // header-only file
-	} {
-		_, err := ParseArrivalTrace(strings.NewReader(tc.csv))
-		if err == nil || !strings.Contains(err.Error(), tc.line) {
-			t.Errorf("ParseArrivalTrace(%q): error %v, want mention of %q", tc.csv, err, tc.line)
-		}
-	}
-}
-
-// TestParseArrivalTraceTenantColumn covers the production-trace shapes the
-// multi-tenant control plane ingests: a TENANT third column (with an
-// optionally empty CORES field), a header row, CRLF line endings, and
-// out-of-order arrivals that are sorted with a single recorded warning.
-func TestParseArrivalTraceTenantColumn(t *testing.T) {
-	tr, err := ParseArrivalTrace(strings.NewReader(
-		"offset,cores,tenant\r\n10s,2,t01\r\n0s,,t00\r\n30s,4,t01\r\n5s\r\n"))
-	if err != nil {
-		t.Fatalf("ParseArrivalTrace: %v", err)
-	}
-	wantOff := []time.Duration{0, 5 * time.Second, 10 * time.Second, 30 * time.Second}
-	wantCores := []int{0, 0, 2, 4}
-	wantTenants := []string{"t00", "", "t01", "t01"}
-	if len(tr.Offsets) != len(wantOff) {
-		t.Fatalf("got %d rows, want %d", len(tr.Offsets), len(wantOff))
-	}
-	for i := range wantOff {
-		if tr.Offsets[i] != wantOff[i] || tr.Cores[i] != wantCores[i] || tr.Tenants[i] != wantTenants[i] {
-			t.Fatalf("row %d = (%s, %d, %q), want (%s, %d, %q)", i,
-				tr.Offsets[i], tr.Cores[i], tr.Tenants[i], wantOff[i], wantCores[i], wantTenants[i])
-		}
-	}
-	if !tr.Tenanted() {
-		t.Error("Tenanted() = false for a trace with tenant labels")
-	}
-	// Exactly two warnings: the skipped header, and one (not per-row)
-	// out-of-order notice.
-	if len(tr.Warnings) != 2 {
-		t.Fatalf("warnings = %q, want header-skip + out-of-order", tr.Warnings)
-	}
-	if !strings.Contains(tr.Warnings[0], "header") || !strings.Contains(tr.Warnings[1], "out of order") {
-		t.Errorf("warnings = %q", tr.Warnings)
-	}
-
-	// A clean, sorted, untenanted trace carries no warnings.
-	clean, err := ParseArrivalTrace(strings.NewReader("0s\n5s,4\n"))
-	if err != nil {
-		t.Fatalf("ParseArrivalTrace(clean): %v", err)
-	}
-	if len(clean.Warnings) != 0 || clean.Tenanted() {
-		t.Errorf("clean trace: warnings=%q tenanted=%v", clean.Warnings, clean.Tenanted())
-	}
-}
-
-func TestLoadArrivalTrace(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "arrivals.csv")
-	if err := os.WriteFile(path, []byte("0s\n5s,4\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := LoadArrivalTrace(path)
-	if err != nil {
-		t.Fatalf("LoadArrivalTrace: %v", err)
-	}
-	if len(tr.Offsets) != 2 || tr.Cores[1] != 4 {
-		t.Fatalf("trace = %+v", tr)
-	}
-
-	// The ParseArrivals front door reaches the same file.
-	offs, err := ParseArrivals("tracefile:"+path, 99, 1)
-	if err != nil {
-		t.Fatalf("ParseArrivals(tracefile): %v", err)
-	}
-	if len(offs) != 2 || offs[1] != 5*time.Second {
-		t.Fatalf("tracefile offsets = %v", offs)
-	}
-
-	if _, err := LoadArrivalTrace(filepath.Join(dir, "missing.csv")); err == nil {
-		t.Error("missing file accepted")
-	}
-	if _, err := LoadArrivalTrace(""); err == nil {
-		t.Error("empty path accepted")
-	}
-	if _, err := LoadArrivalTrace(dir); err == nil {
-		t.Error("directory accepted")
-	}
-	if _, err := LoadArrivalTrace("/dev/null"); err == nil {
-		t.Error("device file accepted")
-	}
-	big := filepath.Join(dir, "big.csv")
-	if err := os.WriteFile(big, make([]byte, maxTraceFileBytes+1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadArrivalTrace(big); err == nil || !strings.Contains(err.Error(), "cap") {
-		t.Errorf("oversized file: got %v, want size-cap error", err)
-	}
-
-	// Malformed rows surface the path and line number to the operator.
-	bad := filepath.Join(dir, "bad.csv")
-	if err := os.WriteFile(bad, []byte("0s\nnope\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadArrivalTrace(bad); err == nil ||
-		!strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), bad) {
-		t.Errorf("malformed row: got %v, want path and line 2", err)
 	}
 }

@@ -1,11 +1,12 @@
-// Package tracereplay ingests production-shaped arrival traces — the
-// Azure-Functions / Google-cluster row shape of (tenant, arrival,
-// runtime, demand) — and replays them through the sharded control plane.
-// It owns three things: the CSV parser (header rows, CRLF, out-of-order
-// arrivals tolerated, like the legacy tracefile parser), a deterministic
-// synthetic multi-tenant trace generator (the committed test fixture
-// comes from it), and replay validation that compares the merged report's
-// per-tenant tables against the trace's empirical distributions.
+// Package tracereplay owns the trace CSV: it reads both tracefile
+// shapes — production-shaped arrival traces, the Azure-Functions /
+// Google-cluster row shape of (tenant, arrival, runtime, demand), and the
+// legacy OFFSET[,CORES[,TENANT]] arrival list — through one parser, and
+// replays production traces through the sharded control plane. Besides
+// the parser it holds a deterministic synthetic multi-tenant trace
+// generator (the committed test fixture comes from it) and replay
+// validation that compares the merged report's per-tenant tables against
+// the trace's empirical distributions.
 package tracereplay
 
 import (
@@ -28,96 +29,187 @@ import (
 
 // Row is one traced job submission.
 type Row struct {
-	// Tenant is the submitting tenant's id.
+	// Tenant is the submitting tenant's id ("" for a legacy row without
+	// one).
 	Tenant string
 	// Arrival is the submission offset from the start of the trace.
 	Arrival time.Duration
-	// Runtime is the job's traced execution time at full provisioning.
+	// Runtime is the job's traced execution time at full provisioning (0
+	// in a legacy trace, which carries none).
 	Runtime time.Duration
-	// Cores is the job's core demand.
+	// Cores is the job's core demand (0 in a legacy row that pins none).
 	Cores int
 }
 
-// Trace is a parsed production trace: rows sorted by arrival (stably, so
-// equal arrivals keep file order).
+// Trace is a parsed trace: rows sorted by arrival (stably, so equal
+// arrivals keep file order).
 type Trace struct {
 	Rows []Row
+	// Legacy records that the file had the OFFSET[,CORES[,TENANT]] shape
+	// rather than TENANT,ARRIVAL,RUNTIME,CORES: its rows carry no runtime,
+	// so they are arrivals with optional core pins and tenants, not jobs to
+	// replay.
+	Legacy bool
 	// Warnings records non-fatal input oddities (skipped header,
 	// out-of-order rows — warned once).
 	Warnings []string
 }
 
-// maxTraceFileBytes caps how much of a trace file is read, matching the
-// legacy tracefile cap.
+// maxTraceFileBytes caps how much of a trace file is read — a malformed
+// path (FIFO, device, huge file) fails fast instead of wedging the CLI.
 const maxTraceFileBytes = 1 << 20
 
 // Header is the canonical column header the generator writes and the
 // parser skips.
 const Header = "tenant,arrival,runtime,cores"
 
-// Parse reads CSV rows of the form "TENANT,ARRIVAL,RUNTIME,CORES"
-// (e.g. "t03,90s,45s,4"). ARRIVAL and RUNTIME accept Go durations
-// ("1m30s") or plain numbers meaning seconds ("90.5" — the unit most
-// published traces use). Blank lines, '#' comments, a leading header row
-// and CRLF endings are tolerated; out-of-order arrivals are sorted with a
-// single warning.
+// Parse reads trace CSV in either of two shapes. The first data row's
+// column count fixes the shape for the whole file:
+//
+//   - 4 columns, "TENANT,ARRIVAL,RUNTIME,CORES" (e.g. "t03,90s,45s,4"): a
+//     production trace. ARRIVAL and RUNTIME accept Go durations ("1m30s")
+//     or plain numbers meaning seconds ("90.5" — the unit most published
+//     traces use). A leading row whose fields all contain letters is a
+//     header.
+//   - any other count, "OFFSET[,CORES[,TENANT]]" (e.g. "30s,4,t02"): a
+//     legacy tracefile, with Legacy set. OFFSET is a Go duration; an
+//     empty or missing CORES ("30s,,t02") leaves Cores 0, meaning no pin.
+//     A leading row whose OFFSET contains letters is a header.
+//
+// Blank lines, '#' comments and CRLF endings are tolerated; a skipped
+// header is warned. Malformed rows are rejected with their line number.
+// Out-of-order arrivals are sorted with a single warning — published
+// traces are frequently sorted by tenant, not time.
 func Parse(r io.Reader) (*Trace, error) {
 	tr := &Trace{}
 	sc := bufio.NewScanner(r)
+	var fields []string
 	line := 0
-	sorted := true
+	shaped, sorted := false, true
 	for sc.Scan() {
 		line++
 		s := strings.TrimSpace(sc.Text()) // also strips a trailing \r
 		if s == "" || strings.HasPrefix(s, "#") {
 			continue
 		}
-		fields := strings.Split(s, ",")
-		if len(fields) != 4 {
-			return nil, fmt.Errorf("line %d: %d fields (want TENANT,ARRIVAL,RUNTIME,CORES)", line, len(fields))
+		fields = splitComma(fields[:0], s)
+		if !shaped {
+			tr.Legacy, shaped = len(fields) != 4, true
 		}
-		tenant := strings.TrimSpace(fields[0])
-		arrival, aerr := parseDur(fields[1])
-		runtime, rerr := parseDur(fields[2])
-		if len(tr.Rows) == 0 && (aerr != nil || rerr != nil) && looksLikeHeader(fields) {
+		var row Row
+		var header bool
+		var err error
+		if tr.Legacy {
+			row, header, err = legacyRow(fields, len(tr.Rows) == 0)
+		} else {
+			row, header, err = productionRow(fields, len(tr.Rows) == 0)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", line, err)
+		}
+		if header {
 			tr.Warnings = append(tr.Warnings, fmt.Sprintf("line %d: skipped header row %q", line, s))
 			continue
 		}
-		if tenant == "" {
-			return nil, fmt.Errorf("line %d: empty tenant", line)
-		}
-		if aerr != nil {
-			return nil, fmt.Errorf("line %d: bad arrival %q: %w", line, strings.TrimSpace(fields[1]), aerr)
-		}
-		if arrival < 0 {
-			return nil, fmt.Errorf("line %d: bad arrival %q", line, strings.TrimSpace(fields[1]))
-		}
-		if rerr != nil {
-			return nil, fmt.Errorf("line %d: bad runtime %q: %w", line, strings.TrimSpace(fields[2]), rerr)
-		}
-		if runtime <= 0 {
-			return nil, fmt.Errorf("line %d: bad runtime %q", line, strings.TrimSpace(fields[2]))
-		}
-		cores, err := strconv.Atoi(strings.TrimSpace(fields[3]))
-		if err != nil || cores < 1 {
-			return nil, fmt.Errorf("line %d: bad cores %q", line, strings.TrimSpace(fields[3]))
-		}
-		if len(tr.Rows) > 0 && arrival < tr.Rows[len(tr.Rows)-1].Arrival {
+		if n := len(tr.Rows); n > 0 && row.Arrival < tr.Rows[n-1].Arrival {
 			sorted = false
 		}
-		tr.Rows = append(tr.Rows, Row{Tenant: tenant, Arrival: arrival, Runtime: runtime, Cores: cores})
+		tr.Rows = append(tr.Rows, row)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("line %d: %w", line+1, err)
 	}
 	if len(tr.Rows) == 0 {
-		return nil, fmt.Errorf("empty trace")
+		return nil, errors.New("empty trace")
 	}
 	if !sorted {
-		tr.Warnings = append(tr.Warnings, "arrivals out of order: sorted rows by arrival")
+		by := "arrival"
+		if tr.Legacy {
+			by = "offset"
+		}
+		tr.Warnings = append(tr.Warnings, "arrivals out of order: sorted rows by "+by)
 		sort.SliceStable(tr.Rows, func(i, j int) bool { return tr.Rows[i].Arrival < tr.Rows[j].Arrival })
 	}
 	return tr, nil
+}
+
+// splitComma appends s's comma-separated fields to dst, as strings.Split
+// would return them, so the parser reuses one slice across rows.
+func splitComma(dst []string, s string) []string {
+	for {
+		i := strings.IndexByte(s, ',')
+		if i < 0 {
+			return append(dst, s)
+		}
+		dst = append(dst, s[:i])
+		s = s[i+1:]
+	}
+}
+
+// productionRow parses one TENANT,ARRIVAL,RUNTIME,CORES row; header
+// reports a skipped header (only the first data row may be one).
+func productionRow(fields []string, first bool) (row Row, header bool, err error) {
+	if len(fields) != 4 {
+		return row, false, fmt.Errorf("%d fields (want TENANT,ARRIVAL,RUNTIME,CORES)", len(fields))
+	}
+	tenant := strings.TrimSpace(fields[0])
+	arrival, aerr := parseDur(fields[1])
+	runtime, rerr := parseDur(fields[2])
+	if first && (aerr != nil || rerr != nil) && looksLikeHeader(fields) {
+		return row, true, nil
+	}
+	if tenant == "" {
+		return row, false, errors.New("empty tenant")
+	}
+	if aerr != nil {
+		return row, false, fmt.Errorf("bad arrival %q: %w", strings.TrimSpace(fields[1]), aerr)
+	}
+	if arrival < 0 {
+		return row, false, fmt.Errorf("bad arrival %q", strings.TrimSpace(fields[1]))
+	}
+	if rerr != nil {
+		return row, false, fmt.Errorf("bad runtime %q: %w", strings.TrimSpace(fields[2]), rerr)
+	}
+	if runtime <= 0 {
+		return row, false, fmt.Errorf("bad runtime %q", strings.TrimSpace(fields[2]))
+	}
+	cores, err := strconv.Atoi(strings.TrimSpace(fields[3]))
+	if err != nil || cores < 1 {
+		return row, false, fmt.Errorf("bad cores %q", strings.TrimSpace(fields[3]))
+	}
+	return Row{Tenant: tenant, Arrival: arrival, Runtime: runtime, Cores: cores}, false, nil
+}
+
+// legacyRow parses one OFFSET[,CORES[,TENANT]] row; header reports a
+// skipped header (only rows before the first data row may be one).
+func legacyRow(fields []string, first bool) (row Row, header bool, err error) {
+	if len(fields) > 3 {
+		return row, false, fmt.Errorf("%d fields (want OFFSET[,CORES[,TENANT]])", len(fields))
+	}
+	off := strings.TrimSpace(fields[0])
+	row.Arrival, err = time.ParseDuration(off)
+	if err != nil {
+		if first && strings.IndexFunc(off, unicode.IsLetter) >= 0 {
+			return row, true, nil
+		}
+		return row, false, fmt.Errorf("bad offset %q", off)
+	}
+	if row.Arrival < 0 {
+		return row, false, fmt.Errorf("bad offset %q", off)
+	}
+	if len(fields) >= 2 {
+		if cs := strings.TrimSpace(fields[1]); cs != "" {
+			c, err := strconv.Atoi(cs)
+			if err != nil || c < 1 {
+				return row, false, fmt.Errorf("bad cores %q", cs)
+			}
+			row.Cores = c
+		}
+	}
+	if len(fields) == 3 {
+		row.Tenant = strings.TrimSpace(fields[2])
+	}
+	return row, false, nil
 }
 
 // parseDur accepts a Go duration ("1m30s") or a bare number of seconds
@@ -149,8 +241,8 @@ func looksLikeHeader(fields []string) bool {
 	return true
 }
 
-// Load reads a production trace from path. Only regular files up to
-// 1 MiB are accepted, like the legacy tracefile loader.
+// Load reads a trace of either shape from path. Only regular files up to
+// 1 MiB are accepted.
 func Load(path string) (*Trace, error) {
 	if path == "" {
 		return nil, fmt.Errorf("tracereplay: empty path")
@@ -177,27 +269,6 @@ func Load(path string) (*Trace, error) {
 	return tr, nil
 }
 
-// Detect reports whether path looks like a production trace (first data
-// row has the 4-column TENANT,ARRIVAL,RUNTIME,CORES shape) rather than a
-// legacy OFFSET[,CORES[,TENANT]] tracefile. It reads only the first
-// non-comment line.
-func Detect(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(io.LimitReader(f, 64<<10))
-	for sc.Scan() {
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || strings.HasPrefix(s, "#") {
-			continue
-		}
-		return len(strings.Split(s, ",")) == 4
-	}
-	return false
-}
-
 // runtimeGrid quantizes traced runtimes so Specs reuses baselines (and
 // workload shapes) across jobs with near-identical runtimes: 250 ms
 // buckets with a 250 ms floor.
@@ -210,6 +281,9 @@ const runtimeGrid = 250 * time.Millisecond
 // cores) shape and cached, so 10k-row traces need only a handful of
 // baseline runs.
 func Specs(tr *Trace, seed uint64) ([]cluster.JobSpec, error) {
+	if tr.Legacy {
+		return nil, fmt.Errorf("tracereplay: a legacy OFFSET[,CORES[,TENANT]] trace has no runtimes to replay")
+	}
 	type shape struct {
 		bucket time.Duration
 		cores  int

@@ -45,8 +45,10 @@ func TestParseShapes(t *testing.T) {
 		csv  string
 		want string
 	}{
-		{"t00,1\n", "line 1"},
-		{"t00,1,2,3,4\n", "line 1"},
+		// The first row's 4 columns fix the production shape; a later row
+		// with another count is an error, not a legacy row.
+		{"t00,1,2,2\nt00,1\n", "line 2: 2 fields"},
+		{"t00,1,2,2\nt00,1,2,3,4\n", "line 2: 5 fields"},
 		{",1,2,2\n", "empty tenant"},
 		{"t00,-1,2,2\n", "bad arrival"},
 		{"t00,1,0,2\n", "bad runtime"},
@@ -68,23 +70,36 @@ func TestParseShapes(t *testing.T) {
 	}
 }
 
+// TestDetect: the first data row's column count fixes the shape Load
+// reports — 4 columns is a production trace, anything else a legacy
+// tracefile — and an unreadable path is an error, not a shape.
 func TestDetect(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name, content string) string {
+	load := func(name, content string) *Trace {
+		t.Helper()
 		path := dir + "/" + name
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return path
+		tr, err := Load(path)
+		if err != nil {
+			t.Fatalf("Load(%s): %v", name, err)
+		}
+		return tr
 	}
-	if !Detect(write("prod.csv", "tenant,arrival,runtime,cores\nt00,1,2,2\n")) {
+	if load("prod.csv", "tenant,arrival,runtime,cores\nt00,1,2,2\n").Legacy {
 		t.Error("4-column trace not detected as production shape")
 	}
-	if Detect(write("legacy.csv", "# trace\n30s,4,t00\n")) {
+	if tr := load("legacy.csv", "# trace\n30s,4,t00\n"); !tr.Legacy {
 		t.Error("3-column legacy tracefile misdetected as production shape")
+	} else if want := (Row{Tenant: "t00", Arrival: 30 * time.Second, Cores: 4}); tr.Rows[0] != want {
+		t.Errorf("legacy row = %+v, want %+v", tr.Rows[0], want)
 	}
-	if Detect(dir + "/missing.csv") {
-		t.Error("missing file detected as production shape")
+	if !load("offsets.csv", "0s\n5s\n").Legacy {
+		t.Error("offsets-only tracefile misdetected as production shape")
+	}
+	if _, err := Load(dir + "/missing.csv"); err == nil {
+		t.Error("missing file loaded")
 	}
 }
 
